@@ -1,8 +1,11 @@
-//! Criterion bench: FT (Alg. 2) and SC (Alg. 3) block-wise synthesis.
+//! Criterion bench: FT (Alg. 2) and SC (Alg. 3) block-wise synthesis,
+//! each followed by the peephole clean-up a full compile runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paulihedral::schedule::schedule_depth;
+use paulihedral::synth::par::Intra;
 use paulihedral::synth::{ft, sc};
+use qcircuit::peephole;
 use qdevice::devices;
 use workloads::suite;
 
@@ -15,10 +18,18 @@ fn bench_synthesis(c: &mut Criterion) {
         let layers = schedule_depth(&b.ir);
         let n = b.ir.num_qubits();
         group.bench_with_input(BenchmarkId::new("ft", name), &layers, |bench, layers| {
-            bench.iter(|| ft::synthesize(n, layers));
+            bench.iter(|| {
+                let mut r = ft::synthesize(n, layers, Intra::sequential());
+                peephole::optimize(&mut r.circuit);
+                r
+            });
         });
         group.bench_with_input(BenchmarkId::new("sc", name), &layers, |bench, layers| {
-            bench.iter(|| sc::synthesize(n, layers, &device, None));
+            bench.iter(|| {
+                let mut r = sc::synthesize(n, layers, &device, None, Intra::sequential());
+                peephole::optimize(&mut r.circuit);
+                r
+            });
         });
     }
     group.finish();

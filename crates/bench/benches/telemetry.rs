@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paulihedral::ir::PauliIR;
-use ph_engine::{BatchEngine, Collector, CompileJob, Pipeline, Target, Telemetry};
+use ph_engine::{Collector, CompileJob, Engine, Pipeline, Target, Telemetry};
 use workloads::suite;
 
 fn jobs_for(irs: &[(String, PauliIR)]) -> Vec<CompileJob> {
@@ -35,7 +35,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         .collect();
 
     group.bench_function("batch_disabled", |b| {
-        let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).without_cache();
+        let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).without_cache();
         b.iter(|| engine.compile_all(jobs_for(&irs)));
     });
 
@@ -44,7 +44,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
             // A fresh collector per iteration so the event buffer does not
             // grow unboundedly across samples.
             let collector = Arc::new(Collector::new());
-            let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+            let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
                 .without_cache()
                 .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
             engine.compile_all(jobs_for(&irs))
@@ -52,7 +52,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     });
 
     group.bench_function("single_disabled", |b| {
-        let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+        let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
             .without_cache()
             .with_threads(1);
         b.iter(|| engine.compile_all(jobs_for(&irs)));

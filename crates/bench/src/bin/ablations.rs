@@ -17,6 +17,8 @@
 //! ```
 
 use paulihedral::synth::chain::{emit_gadget, emit_gadget_balanced};
+use paulihedral::synth::ft;
+use paulihedral::synth::par::Intra;
 use paulihedral::{compile, Backend, CompileOptions, Scheduler};
 use ph_bench::{ph_flow, print_row, SecondStage};
 use qcircuit::{peephole, Circuit};
@@ -45,7 +47,8 @@ fn main() {
     for name in ["UCCSD-8", "N2", "Heisen-2D"] {
         let b = suite::generate(name);
         let layers = paulihedral::run_scheduler(&b.ir, Scheduler::GateCount);
-        let with = paulihedral::synth::ft::synthesize(b.ir.num_qubits(), &layers);
+        let mut with = ft::synthesize(b.ir.num_qubits(), &layers, Intra::sequential());
+        peephole::optimize(&mut with.circuit);
         // Without: same emission order, ascending chains.
         let mut without = Circuit::new(b.ir.num_qubits());
         for (s, theta) in &with.emitted {
@@ -71,7 +74,8 @@ fn main() {
     for name in ["N2", "Rand-30"] {
         let b = suite::generate(name);
         let layers = paulihedral::run_scheduler(&b.ir, Scheduler::GateCount);
-        let with = paulihedral::synth::ft::synthesize(b.ir.num_qubits(), &layers);
+        let mut with = ft::synthesize(b.ir.num_qubits(), &layers, Intra::sequential());
+        peephole::optimize(&mut with.circuit);
         let mut balanced = Circuit::new(b.ir.num_qubits());
         for (s, theta) in &with.emitted {
             emit_gadget_balanced(&mut balanced, s, *theta, &s.support());

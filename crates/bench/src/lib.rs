@@ -15,8 +15,8 @@ use baselines::tk;
 use paulihedral::ir::PauliIR;
 use paulihedral::Scheduler;
 use ph_engine::{
-    BatchEngine, CacheConfig, CacheStats, Collector, CompileJob, CompileReport, Engine,
-    MetricsSnapshot, Pipeline, Target, Telemetry,
+    CacheConfig, CacheStats, Collector, CompileJob, CompileReport, Engine, MetricsSnapshot,
+    Pipeline, Target, Telemetry,
 };
 use qcircuit::{Circuit, CircuitStats};
 use qdevice::CouplingMap;
@@ -88,7 +88,7 @@ pub fn ph_flow(
         Engine::new(Pipeline::standard(scheduler), class_target(class, device)).without_cache();
     let t0 = Instant::now();
     let out = engine
-        .compile(ir)
+        .compile_with(ir, None, None)
         .expect("benchmark programs are valid compile requests");
     let stage1 = t0.elapsed();
     let t1 = Instant::now();
@@ -201,7 +201,7 @@ pub struct SuiteRun {
     pub metrics: MetricsSnapshot,
 }
 
-/// Compiles named Table 1 benchmarks through the [`BatchEngine`]: SC
+/// Compiles named Table 1 benchmarks through [`Engine::compile_all`]: SC
 /// benchmarks map onto `device` with depth-oriented scheduling (the
 /// paper's SC configuration), FT benchmarks stay logical with adaptive
 /// scheduling. `threads = None` sizes the worker pool to the machine.
@@ -249,7 +249,7 @@ pub fn run_suite_with(
         })
         .collect();
     let collector = Arc::new(Collector::new());
-    let mut engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+    let mut engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .with_cache_config(cache)
         .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
     if let Some(t) = threads {
@@ -271,7 +271,7 @@ pub fn run_suite_with(
         .collect();
     SuiteRun {
         results,
-        cache: engine.engine().cache_stats(),
+        cache: engine.cache_stats(),
         metrics: collector.metrics(),
     }
 }

@@ -245,9 +245,9 @@ pub fn try_compile(ir: &PauliIR, options: &CompileOptions<'_>) -> Result<Compile
     validate(ir, &options.backend)?;
     let layers = run_scheduler(ir, options.scheduler);
     let intra = synth::par::Intra::new(options.intra_threads);
-    Ok(match options.backend {
+    let mut compiled = match options.backend {
         Backend::FaultTolerant => {
-            let r = synth::ft::synthesize_with(ir.num_qubits(), &layers, intra);
+            let r = synth::ft::synthesize(ir.num_qubits(), &layers, intra);
             Compiled {
                 circuit: r.circuit,
                 emitted: r.emitted,
@@ -256,7 +256,7 @@ pub fn try_compile(ir: &PauliIR, options: &CompileOptions<'_>) -> Result<Compile
             }
         }
         Backend::Superconducting { device, noise } => {
-            let r = synth::sc::synthesize_with(ir.num_qubits(), &layers, device, noise, intra);
+            let r = synth::sc::synthesize(ir.num_qubits(), &layers, device, noise, intra);
             Compiled {
                 circuit: r.circuit,
                 emitted: r.emitted,
@@ -264,7 +264,9 @@ pub fn try_compile(ir: &PauliIR, options: &CompileOptions<'_>) -> Result<Compile
                 final_l2p: Some(r.final_l2p),
             }
         }
-    })
+    };
+    qcircuit::peephole::optimize(&mut compiled.circuit);
+    Ok(compiled)
 }
 
 /// Compiles a Pauli IR program, panicking on invalid input. Thin wrapper

@@ -169,12 +169,6 @@ pub fn aligned_order(
 
 /// Synthesizes a sequence of `(string, θ)` gadgets with chain alignment
 /// (no peephole pass — callers run it once at the end).
-pub fn synthesize_sequence(n: usize, seq: &[(PauliString, f64)]) -> Circuit {
-    synthesize_sequence_with(n, seq, Intra::sequential())
-}
-
-/// [`synthesize_sequence`] with an explicit intra-compile parallelism
-/// context.
 ///
 /// Chain orders are inherently sequential — each gadget's CNOT order
 /// starts from the previous string's order — but they are cheap to
@@ -183,7 +177,7 @@ pub fn synthesize_sequence(n: usize, seq: &[(PauliString, f64)]) -> Circuit {
 /// into its own sub-circuit on a worker and the sub-circuits are
 /// concatenated in order, which reproduces the sequential gate list
 /// exactly.
-pub fn synthesize_sequence_with(n: usize, seq: &[(PauliString, f64)], intra: Intra<'_>) -> Circuit {
+pub fn synthesize_sequence(n: usize, seq: &[(PauliString, f64)], intra: Intra<'_>) -> Circuit {
     // Pass 1 (sequential): resolve the aligned chain order of every
     // non-identity gadget.
     let mut planned: Vec<(usize, Vec<usize>)> = Vec::with_capacity(seq.len());
@@ -304,7 +298,7 @@ mod tests {
         emit_gadget(&mut naive, &seq[1].0, seq[1].1, &[1, 2]);
         peephole::optimize(&mut naive);
         // Aligned.
-        let mut aligned = synthesize_sequence(3, &seq);
+        let mut aligned = synthesize_sequence(3, &seq, Intra::sequential());
         peephole::optimize(&mut aligned);
         assert!(
             aligned.stats().cnot < naive.stats().cnot,
@@ -318,7 +312,7 @@ mod tests {
     #[test]
     fn identical_strings_collapse_to_one_gadget() {
         let seq = vec![(ps("XZX"), 0.2), (ps("XZX"), 0.3)];
-        let mut c = synthesize_sequence(3, &seq);
+        let mut c = synthesize_sequence(3, &seq, Intra::sequential());
         peephole::optimize(&mut c);
         let s = c.stats();
         assert_eq!(s.cnot, 4);

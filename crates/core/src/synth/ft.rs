@@ -5,7 +5,8 @@
 //! pairs with the most operator overlap are selected greedily, the
 //! junction strings of each pair are placed face to face, strings inside
 //! every block are chained by `most_overlap_sort`, and the whole sequence
-//! is synthesized with aligned CNOT chains followed by one peephole pass.
+//! is synthesized with aligned CNOT chains (callers run one peephole pass
+//! over the result).
 //!
 //! One deliberate simplification versus the pseudocode: paired layers are
 //! *emitted in their scheduled order* (pairing only decides which junctions
@@ -15,7 +16,6 @@
 //! the pairing found.
 
 use pauli::PauliString;
-use qcircuit::peephole::{self, PeepholeReport};
 use qcircuit::Circuit;
 
 use crate::schedule::Layer;
@@ -25,13 +25,11 @@ use crate::synth::par::Intra;
 /// Result of FT-backend synthesis.
 #[derive(Clone, Debug)]
 pub struct FtResult {
-    /// The optimized logical circuit.
+    /// The logical circuit, before the peephole clean-up.
     pub circuit: Circuit,
     /// The `(string, θ)` sequence actually synthesized, in emission order —
     /// the compiled circuit implements `Π exp(iθP)` in exactly this order.
     pub emitted: Vec<(PauliString, f64)>,
-    /// What the final peephole pass cancelled.
-    pub peephole: PeepholeReport,
 }
 
 /// Greedy pairing of adjacent layers by junction overlap (Alg. 2 lines
@@ -89,15 +87,10 @@ fn most_overlap_chain(
 }
 
 /// Orders all strings of the scheduled layers for synthesis (Alg. 2).
-pub fn order_strings(n: usize, layers: &[Layer]) -> Vec<(PauliString, f64)> {
-    order_strings_with(n, layers, Intra::sequential())
-}
-
-/// [`order_strings`] with an explicit intra-compile parallelism context.
-/// The result is bit-identical for every worker count: junctions are
-/// independent, and the per-junction argmax keeps its sequential
-/// first-max-wins scan order.
-pub fn order_strings_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(PauliString, f64)> {
+/// The result is bit-identical for every worker count of `intra`:
+/// junctions are independent, and the per-junction argmax keeps its
+/// sequential first-max-wins scan order.
+pub fn order_strings(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(PauliString, f64)> {
     let partner = pair_layers(n, layers, intra);
     // Junction anchors: for a pair (i, i+1), the string pair with maximal
     // overlap across the junction (Alg. 2 lines 7–9). This quadratic
@@ -179,37 +172,14 @@ pub fn order_strings_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(
     out
 }
 
-/// Synthesizes scheduled layers for the FT backend *without* the final
-/// peephole clean-up. The pass manager in `ph_engine` uses this to run
-/// (and instrument) the peephole as its own pass; the returned
-/// `peephole` report is all zeros.
-pub fn synthesize_unoptimized(n: usize, layers: &[Layer]) -> FtResult {
-    synthesize_unoptimized_with(n, layers, Intra::sequential())
-}
-
-/// [`synthesize_unoptimized`] with an explicit intra-compile parallelism
-/// context; the emitted circuit is bit-identical for every worker count.
-pub fn synthesize_unoptimized_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> FtResult {
-    let emitted = order_strings_with(n, layers, intra);
-    let circuit = chain::synthesize_sequence_with(n, &emitted, intra);
-    FtResult {
-        circuit,
-        emitted,
-        peephole: PeepholeReport::default(),
-    }
-}
-
-/// Synthesizes scheduled layers for the FT backend.
-pub fn synthesize(n: usize, layers: &[Layer]) -> FtResult {
-    synthesize_with(n, layers, Intra::sequential())
-}
-
-/// [`synthesize`] with an explicit intra-compile parallelism context (the
-/// final peephole pass is a global sequential sweep either way).
-pub fn synthesize_with(n: usize, layers: &[Layer], intra: Intra<'_>) -> FtResult {
-    let mut r = synthesize_unoptimized_with(n, layers, intra);
-    r.peephole = peephole::optimize(&mut r.circuit);
-    r
+/// Synthesizes scheduled layers for the FT backend, without the final
+/// peephole clean-up (the `ph_engine` pass manager runs and instruments it
+/// as its own pass). The circuit is bit-identical for every worker count
+/// of `intra`.
+pub fn synthesize(n: usize, layers: &[Layer], intra: Intra<'_>) -> FtResult {
+    let emitted = order_strings(n, layers, intra);
+    let circuit = chain::synthesize_sequence(n, &emitted, intra);
+    FtResult { circuit, emitted }
 }
 
 #[cfg(test)]
@@ -218,6 +188,14 @@ mod tests {
     use crate::ir::{Parameter, PauliBlock, PauliIR};
     use crate::schedule;
     use pauli::PauliTerm;
+    use qcircuit::peephole;
+
+    /// Synthesis plus the peephole clean-up a full compile runs.
+    fn optimized(n: usize, layers: &[Layer]) -> FtResult {
+        let mut r = synthesize(n, layers, Intra::sequential());
+        peephole::optimize(&mut r.circuit);
+        r
+    }
 
     fn ir_of(blocks: Vec<Vec<&str>>) -> PauliIR {
         let n = blocks[0][0].len();
@@ -238,7 +216,7 @@ mod tests {
     fn emitted_order_covers_all_strings() {
         let ir = ir_of(vec![vec!["ZZII", "XYII"], vec!["IIZZ"], vec!["IXXI"]]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(4, &layers);
+        let r = optimized(4, &layers);
         assert_eq!(r.emitted.len(), 4);
     }
 
@@ -249,7 +227,7 @@ mod tests {
         let strings = ["ZZZI", "ZZII", "ZZZZ", "ZIII", "ZZIZ"];
         let ir = ir_of(strings.iter().map(|s| vec![*s]).collect());
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(4, &layers);
+        let r = optimized(4, &layers);
         let naive_cnot: usize = strings
             .iter()
             .map(|s| 2 * (s.chars().filter(|&c| c != 'I').count() - 1))
@@ -292,7 +270,7 @@ mod tests {
         // gadgets overlap in time.
         let ir = ir_of(vec![vec!["ZZIIII"], vec!["IIZZII"], vec!["IIIIZZ"]]);
         let layers = schedule::schedule_depth(&ir);
-        let r = synthesize(6, &layers);
+        let r = optimized(6, &layers);
         let single_gadget_depth = 3; // CX, Rz, CX
         assert!(
             r.circuit.stats().depth <= 2 * single_gadget_depth,
@@ -305,7 +283,7 @@ mod tests {
     fn block_strings_stay_contiguous() {
         let ir = ir_of(vec![vec!["IIXY", "IIYX"], vec!["XYII", "YXII"]]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(4, &layers);
+        let r = optimized(4, &layers);
         // The two low-qubit strings must be adjacent in emission order.
         let pos: Vec<usize> = r
             .emitted

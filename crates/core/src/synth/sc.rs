@@ -14,7 +14,6 @@
 //! active-qubit distance (Alg. 3 lines 18–23).
 
 use pauli::PauliString;
-use qcircuit::peephole::{self, PeepholeReport};
 use qcircuit::{Circuit, Gate};
 use qdevice::{CouplingMap, Layout, NoiseModel};
 
@@ -27,7 +26,8 @@ use crate::synth::par::Intra;
 /// plus the layout bookkeeping needed to interpret it.
 #[derive(Clone, Debug)]
 pub struct ScResult {
-    /// The physical circuit (only coupled CNOT/SWAP pairs are used).
+    /// The physical circuit (only coupled CNOT/SWAP pairs are used),
+    /// before the peephole clean-up.
     pub circuit: Circuit,
     /// Initial physical position of every logical qubit.
     pub initial_l2p: Vec<usize>,
@@ -35,8 +35,6 @@ pub struct ScResult {
     pub final_l2p: Vec<usize>,
     /// The `(string, θ)` sequence in emission order.
     pub emitted: Vec<(PauliString, f64)>,
-    /// What the final peephole pass cancelled.
-    pub peephole: PeepholeReport,
 }
 
 /// Why a small block could not be processed in parallel with its layer's
@@ -506,36 +504,21 @@ fn process_block(
     Ok((0..n_phys).filter(|&p| touched[p]).collect())
 }
 
-/// Compiles scheduled layers onto a superconducting device (Alg. 3)
-/// *without* the final peephole clean-up. The pass manager in `ph_engine`
-/// uses this to run (and instrument) the peephole as its own pass; the
-/// returned `peephole` report is all zeros.
+/// Compiles scheduled layers onto a superconducting device (Alg. 3),
+/// without the final peephole clean-up (the `ph_engine` pass manager runs
+/// and instruments it as its own pass).
 ///
-/// # Panics
-///
-/// Panics if the device is disconnected or has fewer qubits than the
-/// program.
-pub fn synthesize_unoptimized(
-    n_logical: usize,
-    layers: &[Layer],
-    device: &CouplingMap,
-    noise: Option<&NoiseModel>,
-) -> ScResult {
-    synthesize_unoptimized_with(n_logical, layers, device, noise, Intra::sequential())
-}
-
-/// [`synthesize_unoptimized`] with an explicit intra-compile parallelism
-/// context. The block emission order is inherently sequential (the layout
-/// is carried from block to block), but the argbest scans inside — layout
+/// The block emission order is inherently sequential (the layout is
+/// carried from block to block), but the argbest scans inside — layout
 /// placement, per-string selection, block-scope SWAP scoring — shard
-/// across workers with sequential tie semantics, so the result is
-/// bit-identical for every worker count.
+/// across the workers of `intra` with sequential tie semantics, so the
+/// result is bit-identical for every worker count.
 ///
 /// # Panics
 ///
 /// Panics if the device is disconnected or has fewer qubits than the
 /// program.
-pub fn synthesize_unoptimized_with(
+pub fn synthesize(
     n_logical: usize,
     layers: &[Layer],
     device: &CouplingMap,
@@ -641,42 +624,7 @@ pub fn synthesize_unoptimized_with(
         initial_l2p: initial,
         final_l2p: layout.l2p().to_vec(),
         emitted,
-        peephole: PeepholeReport::default(),
     }
-}
-
-/// Compiles scheduled layers onto a superconducting device (Alg. 3).
-///
-/// # Panics
-///
-/// Panics if the device is disconnected or has fewer qubits than the
-/// program.
-pub fn synthesize(
-    n_logical: usize,
-    layers: &[Layer],
-    device: &CouplingMap,
-    noise: Option<&NoiseModel>,
-) -> ScResult {
-    synthesize_with(n_logical, layers, device, noise, Intra::sequential())
-}
-
-/// [`synthesize`] with an explicit intra-compile parallelism context (the
-/// final peephole pass is a global sequential sweep either way).
-///
-/// # Panics
-///
-/// Panics if the device is disconnected or has fewer qubits than the
-/// program.
-pub fn synthesize_with(
-    n_logical: usize,
-    layers: &[Layer],
-    device: &CouplingMap,
-    noise: Option<&NoiseModel>,
-    intra: Intra<'_>,
-) -> ScResult {
-    let mut r = synthesize_unoptimized_with(n_logical, layers, device, noise, intra);
-    r.peephole = peephole::optimize(&mut r.circuit);
-    r
 }
 
 #[cfg(test)]
@@ -685,7 +633,20 @@ mod tests {
     use crate::ir::{Parameter, PauliBlock, PauliIR};
     use crate::schedule;
     use pauli::PauliTerm;
+    use qcircuit::peephole;
     use qdevice::devices;
+
+    /// Synthesis plus the peephole clean-up a full compile runs.
+    fn optimized(
+        n: usize,
+        layers: &[Layer],
+        device: &CouplingMap,
+        noise: Option<&NoiseModel>,
+    ) -> ScResult {
+        let mut r = synthesize(n, layers, device, noise, Intra::sequential());
+        peephole::optimize(&mut r.circuit);
+        r
+    }
 
     fn ir_of(blocks: Vec<Vec<&str>>) -> PauliIR {
         let n = blocks[0][0].len();
@@ -713,7 +674,7 @@ mod tests {
         let device = devices::linear(4);
         let ir = ir_of(vec![vec!["IIZZ"], vec!["IZZI"], vec!["ZZII"]]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(4, &layers, &device, None);
+        let r = optimized(4, &layers, &device, None);
         check_conformant(&r, &device);
         assert_eq!(r.emitted.len(), 3);
         // Adjacent ZZ pairs need no SWAPs on a line if the layout is the
@@ -734,7 +695,7 @@ mod tests {
             vec!["ZIIIZ"],
         ]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(5, &layers, &device, None);
+        let r = optimized(5, &layers, &device, None);
         check_conformant(&r, &device);
         assert!(
             r.circuit.mapped_stats().cnot > 10,
@@ -751,7 +712,7 @@ mod tests {
         let device = devices::linear(3);
         let ir = ir_of(vec![vec!["ZZZ"]]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(3, &layers, &device, None);
+        let r = optimized(3, &layers, &device, None);
         check_conformant(&r, &device);
         assert_eq!(r.circuit.stats().swap, 0, "{}", r.circuit);
         assert_eq!(r.circuit.stats().cnot, 4);
@@ -762,7 +723,7 @@ mod tests {
         let device = devices::grid(2, 3);
         let ir = ir_of(vec![vec!["IIIIZZ"], vec!["ZZIIII"]]);
         let layers = schedule::schedule_depth(&ir);
-        let r = synthesize(6, &layers, &device, None);
+        let r = optimized(6, &layers, &device, None);
         check_conformant(&r, &device);
         assert_eq!(r.emitted.len(), 2);
     }
@@ -772,7 +733,7 @@ mod tests {
         let device = devices::linear(4);
         let ir = ir_of(vec![vec!["IXXY", "IYYX"]]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(4, &layers, &device, None);
+        let r = optimized(4, &layers, &device, None);
         check_conformant(&r, &device);
         assert_eq!(r.emitted.len(), 2);
     }
@@ -782,7 +743,7 @@ mod tests {
         let device = devices::linear(3);
         let ir = ir_of(vec![vec!["IIX"], vec!["IZI"]]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(3, &layers, &device, None);
+        let r = optimized(3, &layers, &device, None);
         check_conformant(&r, &device);
         assert_eq!(r.circuit.stats().cnot, 0);
         assert_eq!(r.circuit.stats().swap, 0);
@@ -802,7 +763,7 @@ mod tests {
         let ir = PauliIR::single_block(n, terms, Parameter::named("gamma", 0.3));
         let device = devices::manhattan_65();
         let layers = schedule::schedule_depth(&ir);
-        let r = synthesize(n, &layers, &device, None);
+        let r = optimized(n, &layers, &device, None);
         check_conformant(&r, &device);
         assert_eq!(r.emitted.len(), n);
     }
@@ -814,7 +775,7 @@ mod tests {
         let device = devices::grid(2, 4);
         let ir = ir_of(vec![vec!["ZIIIIIIZ"], vec!["IZZIIIII"], vec!["XIIXIIII"]]);
         let layers = schedule::schedule_depth(&ir);
-        let r = synthesize(8, &layers, &device, None);
+        let r = optimized(8, &layers, &device, None);
         let mut seen = vec![false; device.num_qubits()];
         for &p in &r.final_l2p {
             assert!(!seen[p], "physical qubit {p} assigned twice");
@@ -829,7 +790,7 @@ mod tests {
         let noise = NoiseModel::synthetic(&device, 5);
         let ir = ir_of(vec![vec!["ZIIIIZ"], vec!["IXXIII"], vec!["ZZZZZZ"]]);
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(6, &layers, &device, Some(&noise));
+        let r = optimized(6, &layers, &device, Some(&noise));
         check_conformant(&r, &device);
         assert_eq!(r.emitted.len(), 3);
     }
@@ -849,7 +810,7 @@ mod tests {
         }
         let ir = PauliIR::single_block(4, terms, Parameter::named("g", 0.2));
         let layers = schedule::schedule_gco(&ir);
-        let r = synthesize(4, &layers, &device, None);
+        let r = optimized(4, &layers, &device, None);
         check_conformant(&r, &device);
         assert_eq!(r.emitted.len(), 3);
         let s = r.circuit.mapped_stats();

@@ -1,4 +1,4 @@
-//! The multi-threaded batch driver.
+//! The multi-threaded batch driver, [`Engine::compile_all`].
 //!
 //! A plain `std::thread` worker pool (the build environment has no
 //! registry access, so no rayon): jobs are pulled off a shared atomic
@@ -7,7 +7,6 @@
 //! compilation cache, so duplicate jobs inside one batch are compiled
 //! once.
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -15,12 +14,9 @@ use std::time::{Duration, Instant};
 
 use paulihedral::ir::PauliIR;
 use paulihedral::{CompileError, Scheduler};
-use ph_telemetry::Telemetry;
 
 use crate::engine::{Engine, EngineOutput};
-use crate::fault::Fault;
 use crate::pass::Target;
-use crate::pipeline::Pipeline;
 
 /// One unit of batch work.
 #[derive(Clone, Debug)]
@@ -73,113 +69,9 @@ pub struct BatchResult {
     pub queue_wait: Duration,
 }
 
-/// A worker pool over an [`Engine`].
-#[derive(Debug)]
-pub struct BatchEngine {
-    engine: Engine,
-    threads: usize,
-    intra_threads: usize,
-}
-
-impl BatchEngine {
-    /// A batch engine sized to the machine
-    /// (`std::thread::available_parallelism`, min 1).
-    pub fn new(pipeline: Pipeline, target: Target) -> BatchEngine {
-        let threads = thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        BatchEngine {
-            engine: Engine::new(pipeline, target),
-            threads,
-            intra_threads: 1,
-        }
-    }
-
-    /// Overrides the worker count (minimum 1).
-    pub fn with_threads(mut self, threads: usize) -> BatchEngine {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the intra-compile worker budget each job may use for its
-    /// synthesis pass (`0` = one per CPU, default `1` = sequential).
-    /// At batch time the knob is clamped against the job-level pool so a
-    /// wide batch on a small machine never oversubscribes: each job gets
-    /// at most `max(1, cpus / batch_workers)` synthesis workers.
-    pub fn with_intra_threads(mut self, intra_threads: usize) -> BatchEngine {
-        self.intra_threads = intra_threads;
-        self
-    }
-
-    /// Replaces the shared cache with an empty one using `config`
-    /// (entry/byte budgets, optional persistent directory). Builder-style;
-    /// call before the first batch.
-    pub fn with_cache_config(mut self, config: crate::cache::CacheConfig) -> BatchEngine {
-        self.engine = self.engine.with_cache_config(config);
-        self
-    }
-
-    /// Disables the shared compilation cache (every job compiles).
-    pub fn without_cache(mut self) -> BatchEngine {
-        self.engine = self.engine.without_cache();
-        self
-    }
-
-    /// Attaches a fault-injection handle to the underlying engine (see
-    /// [`Engine::with_fault`]): worker jobs consult the worker seam, the
-    /// shared cache's disk tier consults the disk seam.
-    pub fn with_fault(mut self, fault: Fault) -> BatchEngine {
-        self.engine = self.engine.with_fault(fault);
-        self
-    }
-
-    /// Attaches a telemetry handle to the underlying engine (see
-    /// [`Engine::with_telemetry`]); the batch driver additionally emits
-    /// one `batch` span per [`BatchEngine::compile_all`], one
-    /// `job:<name>` span per job (queue wait in its args), and the
-    /// `batch.job_wall_ns` / `batch.queue_wait_ns` histograms.
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> BatchEngine {
-        self.engine = self.engine.with_telemetry(telemetry);
-        self
-    }
-
-    /// The underlying engine (cache statistics, one-off compiles).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured per-job intra-compile worker knob (pre-clamp; see
-    /// [`BatchEngine::with_intra_threads`]).
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads
-    }
-
-    /// Workers [`BatchEngine::compile_all`] will actually spawn for a
-    /// batch of `jobs` jobs: never more threads than jobs.
-    pub fn worker_count(&self, jobs: usize) -> usize {
-        self.threads.min(jobs)
-    }
-
-    /// The intra-compile worker budget each job in a batch of `jobs` jobs
-    /// actually gets: the configured knob (`0` resolved to the CPU count)
-    /// clamped to the machine share left over by the job-level pool.
-    pub fn intra_budget(&self, jobs: usize) -> usize {
-        let cpus = thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        let requested = match self.intra_threads {
-            0 => cpus,
-            t => t,
-        };
-        requested.min((cpus / self.worker_count(jobs).max(1)).max(1))
-    }
-
-    /// Compiles every job, fanning out across the worker pool. Results
+impl Engine {
+    /// Compiles every job on up to [`Engine::threads`] scoped workers,
+    /// each with [`Engine::intra_budget`]`(workers)` synthesis workers. Results
     /// come back in job order; per-job failures are values, not batch
     /// failures — including panics, which are caught per job
     /// ([`CompileError::Panicked`]) so one bad job can neither kill its
@@ -189,8 +81,8 @@ impl BatchEngine {
             return Vec::new();
         }
         let workers = self.worker_count(jobs.len());
-        let intra_budget = self.intra_budget(jobs.len());
-        let telemetry = self.engine.telemetry();
+        let intra_budget = self.intra_budget(workers);
+        let telemetry = self.telemetry();
         let batch_span = telemetry.span_with(
             "batch",
             vec![
@@ -221,7 +113,7 @@ impl BatchEngine {
                                 .into(),
                         )],
                     );
-                    let outcome = self.engine.compile_caught_budgeted(
+                    let outcome = self.compile_budgeted(
                         &job.ir,
                         job.target.as_ref(),
                         job.scheduler,

@@ -14,8 +14,9 @@
 //! the 31 Table 1 benchmark names (`workload:UCCSD-16`) or the scale
 //! lattices (`workload:Heisen-1000`, `workload:Ising-32x32`) generate
 //! their program in-process. `--intra-threads N` lets one compile's
-//! synthesis pass fan out over N workers (`0` = one per CPU); the output
-//! circuit is bit-identical for every setting.
+//! synthesis pass fan out over up to N workers (`0` = one per CPU), never
+//! more than the CPUs left per concurrent compile; the output circuit is
+//! bit-identical for every setting.
 //!
 //! Batch mode (compiles many programs across a worker pool and emits a
 //! JSON report with per-pass instrumentation, cache counters, and latency
@@ -38,7 +39,8 @@
 //!
 //! ```text
 //! phc serve [--listen 127.0.0.1:7878] [--backend …] [--scheduler …]
-//!           [--threads N] [--queue N] [--deadline-ms N] [--watchdog-ms N]
+//!           [--threads N] [--intra-threads N] [--queue N] [--deadline-ms N]
+//!           [--watchdog-ms N]
 //!           [--cache-dir DIR] [--cache-entries N] [--cache-bytes N]
 //!           [--fault-plan SPEC]
 //!           [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
@@ -110,9 +112,8 @@ use paulihedral::Scheduler;
 use ph_engine::json::Json;
 use ph_engine::proto::{self, CompileRequest, Request};
 use ph_engine::{
-    BatchEngine, BatchResult, CacheConfig, Client, ClientConfig, ClientError, Collector,
-    CompileJob, Engine, Fault, FaultPlan, MetricsSnapshot, Pipeline, ServeConfig, Server, Target,
-    Telemetry,
+    BatchResult, CacheConfig, Client, ClientConfig, ClientError, Collector, CompileJob, Engine,
+    Fault, FaultPlan, MetricsSnapshot, Pipeline, ServeConfig, Server, Target, Telemetry,
 };
 use ph_telemetry::export;
 use qcircuit::qasm::{to_qasm, QasmOptions};
@@ -261,14 +262,9 @@ fn metrics_json(snapshot: &MetricsSnapshot) -> Json {
     ])
 }
 
-fn json_report(
-    results: &[BatchResult],
-    engine: &Engine,
-    threads: usize,
-    snapshot: &MetricsSnapshot,
-) -> String {
+fn json_report(results: &[BatchResult], engine: &Engine, snapshot: &MetricsSnapshot) -> String {
     let report = Json::obj([
-        ("threads", Json::U64(threads as u64)),
+        ("threads", Json::U64(engine.threads() as u64)),
         (
             "jobs",
             Json::Arr(results.iter().map(proto::batch_result_json).collect()),
@@ -288,6 +284,28 @@ fn parse_fault(args: &[String]) -> Result<Fault, String> {
         None => Ok(Fault::disabled()),
         Some(spec) => Ok(Fault::seeded(FaultPlan::parse(&spec)?)),
     }
+}
+
+/// The collecting engine batch and serve modes run: `--cache-*`,
+/// `--fault-plan`, `--threads`, and `--intra-threads` applied.
+fn pool_engine(
+    args: &[String],
+    scheduler: Scheduler,
+    target: Target,
+    collector: &Arc<Collector>,
+) -> Result<Engine, String> {
+    let mut engine = Engine::new(Pipeline::standard(scheduler), target)
+        .with_cache_config(parse_cache_config(args)?)
+        .with_fault(parse_fault(args)?)
+        .with_telemetry(Telemetry::attached(Arc::clone(collector)));
+    if let Some(t) = value_of(args, "--threads") {
+        let t: usize = t.parse().map_err(|_| format!("bad thread count `{t}`"))?;
+        engine = engine.with_threads(t);
+    }
+    if let Some(t) = parse_intra_threads(args)? {
+        engine = engine.with_intra_threads(t);
+    }
+    Ok(engine)
 }
 
 /// Builds the batch cache configuration from `--cache-dir`,
@@ -351,18 +369,7 @@ fn run_batch(args: &[String]) -> Result<(), String> {
     // Batch runs always collect: the report's percentiles come from the
     // same telemetry stream --trace-out/--metrics-out export.
     let collector = Arc::new(Collector::new());
-    let mut engine = BatchEngine::new(Pipeline::standard(scheduler), target)
-        .with_cache_config(parse_cache_config(args)?)
-        .with_fault(parse_fault(args)?)
-        .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
-    if let Some(t) = value_of(args, "--threads") {
-        let t: usize = t.parse().map_err(|_| format!("bad thread count `{t}`"))?;
-        engine = engine.with_threads(t);
-    }
-    if let Some(t) = parse_intra_threads(args)? {
-        engine = engine.with_intra_threads(t);
-    }
-    let threads = engine.threads();
+    let engine = pool_engine(args, scheduler, target, &collector)?;
     let results = engine.compile_all(jobs);
 
     let mut failures = 0;
@@ -389,12 +396,12 @@ fn run_batch(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    let cs = engine.engine().cache_stats();
+    let cs = engine.cache_stats();
     eprintln!(
         "{} jobs on {} threads: {} cache hits, {} disk hits, {} coalesced, {} misses, \
          {} evictions",
         results.len(),
-        threads,
+        engine.threads(),
         cs.hits,
         cs.disk_hits,
         cs.coalesced,
@@ -412,7 +419,7 @@ fn run_batch(args: &[String]) -> Result<(), String> {
         );
     }
 
-    let json = json_report(&results, engine.engine(), threads, &snapshot);
+    let json = json_report(&results, &engine, &snapshot);
     match value_of(args, "--json") {
         Some(path) if path != "-" => {
             std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -433,8 +440,8 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     if !positionals(args)?.is_empty() {
         return Err(
             "usage: phc serve [--listen ADDR] [--backend B] [--scheduler S] [--threads N] \
-             [--queue N] [--deadline-ms N] [--watchdog-ms N] [--cache-dir DIR] \
-             [--cache-entries N] [--cache-bytes N] [--fault-plan SPEC] \
+             [--intra-threads N] [--queue N] [--deadline-ms N] [--watchdog-ms N] \
+             [--cache-dir DIR] [--cache-entries N] [--cache-bytes N] [--fault-plan SPEC] \
              [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]"
                 .into(),
         );
@@ -444,17 +451,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     let target = Target::parse_spec(value_of(args, "--backend").as_deref().unwrap_or("ft"), 0)?;
 
     let collector = Arc::new(Collector::new());
-    let mut engine = BatchEngine::new(Pipeline::standard(scheduler), target)
-        .with_cache_config(parse_cache_config(args)?)
-        .with_fault(parse_fault(args)?)
-        .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
-    if let Some(t) = value_of(args, "--threads") {
-        let t: usize = t.parse().map_err(|_| format!("bad thread count `{t}`"))?;
-        engine = engine.with_threads(t);
-    }
-    if let Some(t) = parse_intra_threads(args)? {
-        engine = engine.with_intra_threads(t);
-    }
+    let engine = pool_engine(args, scheduler, target, &collector)?;
 
     let mut config = ServeConfig::default();
     if let Some(q) = value_of(args, "--queue") {
@@ -684,7 +681,9 @@ fn run_single(args: &[String]) -> Result<(), String> {
     if let Some(t) = parse_intra_threads(args)? {
         engine = engine.with_intra_threads(t);
     }
-    let out = engine.compile(&ir).map_err(|e| e.to_string())?;
+    let out = engine
+        .compile_with(&ir, None, None)
+        .map_err(|e| e.to_string())?;
     let stats = out.compiled.circuit.mapped_stats();
     println!(
         // `Auto` resolves per program — print the scheduler that actually ran.

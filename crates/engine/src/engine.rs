@@ -1,7 +1,10 @@
-//! The single-program engine: validate → cache lookup → pipeline →
-//! cache fill, with full per-pass instrumentation.
+//! The engine and its one compile path: validate → cache lookup →
+//! pipeline → cache fill, with full per-pass instrumentation. Direct
+//! compiles, batches ([`crate::batch`]) and the compile service
+//! ([`crate::serve`]) all run it.
 
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::{Arc, OnceLock};
 
 use paulihedral::ir::PauliIR;
 use paulihedral::synth::par::{Intra, ShardObserver};
@@ -26,10 +29,11 @@ pub struct EngineOutput {
     pub report: CompileReport,
 }
 
-/// A compilation engine: one pipeline, one default target, one cache.
+/// A compilation engine: one pipeline, one default target, one cache, and
+/// a worker count for batches ([`Engine::compile_all`]) and the compile
+/// service ([`crate::Server`]).
 ///
-/// The engine is `Sync` — `&Engine` is all the batch driver's worker
-/// threads need.
+/// The engine is `Sync` — `&Engine` is all the worker threads need.
 #[derive(Debug)]
 pub struct Engine {
     pipeline: Pipeline,
@@ -37,8 +41,17 @@ pub struct Engine {
     cache: CompileCache,
     cache_enabled: bool,
     telemetry: Telemetry,
+    threads: usize,
     intra_threads: usize,
     fault: Fault,
+}
+
+/// The machine's CPU count (`available_parallelism`, at least 1), read
+/// once per process: on Linux the query reads cgroup files, which a
+/// per-request budget must not pay for.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Wraps each parallel synthesis shard in a `shard:<stage>` telemetry
@@ -60,7 +73,8 @@ impl ShardObserver for ShardSpans<'_> {
 
 impl Engine {
     /// An engine with an unbounded, memory-only cache (see
-    /// [`Engine::with_cache_config`] for bounds and a disk tier).
+    /// [`Engine::with_cache_config`] for bounds and a disk tier), one
+    /// worker per available CPU, and sequential synthesis.
     pub fn new(pipeline: Pipeline, target: Target) -> Engine {
         Engine {
             pipeline,
@@ -68,26 +82,54 @@ impl Engine {
             cache: CompileCache::new(),
             cache_enabled: true,
             telemetry: Telemetry::disabled(),
+            threads: cpus(),
             intra_threads: 1,
             fault: Fault::disabled(),
         }
     }
 
-    /// Sets the intra-compile worker budget for the synthesis pass: `1`
-    /// (the default) keeps synthesis sequential, `0` uses one worker per
-    /// available CPU, any other value is taken literally. Purely a
-    /// wall-clock knob — the artifact is bit-identical for every setting,
-    /// so it is excluded from cache keys and cached artifacts stay
-    /// shareable across settings. Builder-style.
+    /// Overrides the worker count of batches and the compile service
+    /// (minimum 1). Builder-style.
+    pub fn with_threads(mut self, threads: usize) -> Engine {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// The configured worker count.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// Workers [`Engine::compile_all`] spawns for a batch of `jobs` jobs:
+    /// never more threads than jobs.
+    pub fn worker_count(&self, jobs: usize) -> usize {
+        self.threads.min(jobs)
+    }
+
+    /// Sets the intra-compile worker knob for the synthesis pass: `1` (the
+    /// default) keeps synthesis sequential, `0` asks for one worker per
+    /// available CPU; [`Engine::intra_budget`] clamps it to the machine.
+    /// Purely a wall-clock knob — the artifact is bit-identical for every
+    /// setting, so it is excluded from cache keys and cached artifacts
+    /// stay shareable across settings. Builder-style.
     pub fn with_intra_threads(mut self, intra_threads: usize) -> Engine {
         self.intra_threads = intra_threads;
         self
     }
 
-    /// The configured intra-compile worker budget (see
-    /// [`Engine::with_intra_threads`]).
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads
+    /// The synthesis worker budget each compile gets while `workers`
+    /// compiles run side by side: the intra-compile knob (`0` resolved to
+    /// the CPU count) clamped to `max(1, cpus / workers)`, so concurrent
+    /// compiles never oversubscribe the machine. A direct
+    /// [`Engine::compile_with`] counts as one worker, a batch as the
+    /// workers it spawns, the compile service as [`Engine::threads`].
+    pub fn intra_budget(&self, workers: usize) -> usize {
+        let cpus = cpus();
+        let requested = match self.intra_threads {
+            0 => cpus,
+            t => t,
+        };
+        requested.min((cpus / workers.max(1)).max(1))
     }
 
     /// Replaces the cache with an empty one using `config` (entry/byte
@@ -120,6 +162,9 @@ impl Engine {
     /// Attaches a telemetry handle: one span per request (`compile`) and
     /// per pass (the pass's name), cache events on the shared cache, and
     /// latency histograms (`compile.total_ns`, `pass.<name>_ns`).
+    /// [`Engine::compile_all`] adds one `batch` span per batch, one
+    /// `job:<name>` span per job (queue wait in its args), and the
+    /// `batch.job_wall_ns` / `batch.queue_wait_ns` histograms.
     /// Builder-style; the default is the zero-cost
     /// [`Telemetry::disabled`] sink.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Engine {
@@ -162,138 +207,110 @@ impl Engine {
         self.cache.config()
     }
 
-    /// Compiles one program against the default target.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CompileError`] for an empty program or an unusable SC
-    /// device (see [`paulihedral::validate`]).
-    pub fn compile(&self, ir: &PauliIR) -> Result<EngineOutput, CompileError> {
-        self.compile_with(ir, None, None)
-    }
-
     /// Compiles one program with optional per-request target and
-    /// scheduler overrides (the batch driver's entry point).
+    /// scheduler overrides, using the intra-compile budget of a lone
+    /// compile ([`Engine::intra_budget`]`(1)`).
     ///
     /// Concurrent calls with the same request key compile once: one
     /// caller runs the pipeline while the rest wait and share its `Arc`
     /// (counted in [`CacheStats::coalesced`]).
     ///
+    /// Panic-isolating: a panicking pass (or a bug anywhere under the
+    /// compile path) is returned as [`CompileError::Panicked`] instead of
+    /// unwinding into the caller, so one bad job cannot tear down a batch
+    /// or service worker. The single-flight cache treats a leader's
+    /// unwind as a retryable failure, so coalesced waiters are unaffected.
+    ///
     /// # Errors
     ///
-    /// See [`Engine::compile`].
+    /// A [`CompileError`] for an empty program or an unusable SC device
+    /// (see [`paulihedral::validate`]), or [`CompileError::Panicked`].
     pub fn compile_with(
         &self,
         ir: &PauliIR,
         target: Option<&Target>,
         scheduler: Option<Scheduler>,
     ) -> Result<EngineOutput, CompileError> {
-        self.compile_budgeted(ir, target, scheduler, self.intra_threads)
+        self.compile_budgeted(ir, target, scheduler, self.intra_budget(1))
     }
 
-    /// [`Engine::compile_with`] with an explicit intra-compile worker
-    /// budget overriding the engine's configured knob — the batch driver
-    /// uses this to divide the machine between concurrent jobs.
-    pub(crate) fn compile_budgeted(
-        &self,
-        ir: &PauliIR,
-        target: Option<&Target>,
-        scheduler: Option<Scheduler>,
-        intra_threads: usize,
-    ) -> Result<EngineOutput, CompileError> {
-        // The worker fault seam sits at the very top of the compile path:
-        // an injected panic unwinds through `compile_caught` exactly like
-        // an organic pass bug would, and an injected delay models a slow
-        // compile without touching the passes.
-        match self.fault.worker() {
-            WorkerFault::Panic => panic!("injected fault: worker panic"),
-            WorkerFault::Delay(d) => std::thread::sleep(d),
-            WorkerFault::None => {}
-        }
-        // The request span both traces the compile and is its timer: its
-        // wall time becomes `CompileReport::total`.
-        let span = self.telemetry.span("compile");
-        let target = target.unwrap_or(&self.target);
-        validate(ir, &target.as_backend())?;
-        let observer = ShardSpans {
-            telemetry: &self.telemetry,
-        };
-        let mut intra = Intra::new(intra_threads);
-        if self.telemetry.is_enabled() {
-            intra = intra.with_observer(&observer);
-        }
-        let ctx = PassContext {
-            target,
-            scheduler_override: scheduler,
-            intra,
-        };
-
-        if !self.cache_enabled {
-            // No cache ⇒ no reason to pay IR fingerprinting on every
-            // request; benchmark flows measure pure compile time.
-            let entry = self.execute(ir, &ctx, 0)?;
-            let mut report = entry.report;
-            report.total = span.finish();
-            self.telemetry
-                .record_duration("compile.total_ns", report.total);
-            return Ok(EngineOutput {
-                compiled: entry.compiled,
-                report,
-            });
-        }
-
-        let key = self.request_key(ir, &ctx);
-        let (entry, outcome) = self
-            .cache
-            .get_or_compute(key, || self.execute(ir, &ctx, key))?;
-        let mut report = entry.report;
-        report.cache_hit = outcome != CacheOutcome::Compiled;
-        report.total = span.finish();
-        self.telemetry
-            .record_duration("compile.total_ns", report.total);
-        Ok(EngineOutput {
-            compiled: entry.compiled,
-            report,
-        })
-    }
-
-    /// Like [`Engine::compile_with`], but panic-isolating: a panicking
-    /// pass (or a bug anywhere under the compile path) is caught and
-    /// returned as [`CompileError::Panicked`] instead of unwinding into
-    /// the caller. This is what the batch driver and the compile service
-    /// use so one bad job cannot tear down a worker thread — and the
-    /// single-flight cache's failure-handover path already treats a
-    /// leader's unwind as a retryable failure, so coalesced waiters are
-    /// unaffected.
+    /// The same call as [`Engine::compile_with`]. It remains only because
+    /// the service benchmark (`perfbench/src/replay.rs`) calls it by this
+    /// name.
     ///
     /// # Errors
     ///
-    /// Everything [`Engine::compile_with`] returns, plus
-    /// [`CompileError::Panicked`].
+    /// See [`Engine::compile_with`].
     pub fn compile_caught(
         &self,
         ir: &PauliIR,
         target: Option<&Target>,
         scheduler: Option<Scheduler>,
     ) -> Result<EngineOutput, CompileError> {
-        self.compile_caught_budgeted(ir, target, scheduler, self.intra_threads)
+        self.compile_with(ir, target, scheduler)
     }
 
-    /// [`Engine::compile_caught`] with an explicit intra-compile worker
-    /// budget (see [`Engine::compile_budgeted`]).
-    pub(crate) fn compile_caught_budgeted(
+    /// The one compile implementation: [`Engine::compile_with`] with an
+    /// explicit intra-compile worker budget, already resolved by
+    /// [`Engine::intra_budget`] for the caller's worker count.
+    pub(crate) fn compile_budgeted(
         &self,
         ir: &PauliIR,
         target: Option<&Target>,
         scheduler: Option<Scheduler>,
-        intra_threads: usize,
+        intra_budget: usize,
     ) -> Result<EngineOutput, CompileError> {
         // `&Engine` + `&PauliIR` are only conditionally unwind-safe, but
         // the shared state they reach (the cache) is designed for it: its
         // critical sections swap complete values and its locks recover
         // from poisoning, so observing post-panic state is sound.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.compile_budgeted(ir, target, scheduler, intra_threads)
+            // The worker fault seam sits at the very top of the compile
+            // path: an injected panic unwinds exactly like an organic pass
+            // bug would, and an injected delay models a slow compile
+            // without touching the passes.
+            match self.fault.worker() {
+                WorkerFault::Panic => panic!("injected fault: worker panic"),
+                WorkerFault::Delay(d) => std::thread::sleep(d),
+                WorkerFault::None => {}
+            }
+            // The request span both traces the compile and is its timer:
+            // its wall time becomes `CompileReport::total`.
+            let span = self.telemetry.span("compile");
+            let target = target.unwrap_or(&self.target);
+            validate(ir, &target.as_backend())?;
+            let observer = ShardSpans {
+                telemetry: &self.telemetry,
+            };
+            let mut intra = Intra::new(intra_budget);
+            if self.telemetry.is_enabled() {
+                intra = intra.with_observer(&observer);
+            }
+            let ctx = PassContext {
+                target,
+                scheduler_override: scheduler,
+                intra,
+            };
+            // No cache ⇒ no reason to pay IR fingerprinting on every
+            // request; benchmark flows measure pure compile time.
+            let (entry, cache_hit) = if self.cache_enabled {
+                let key = self.request_key(ir, &ctx);
+                let (entry, outcome) = self
+                    .cache
+                    .get_or_compute(key, || self.execute(ir, &ctx, key))?;
+                (entry, outcome != CacheOutcome::Compiled)
+            } else {
+                (self.execute(ir, &ctx, 0)?, false)
+            };
+            let mut report = entry.report;
+            report.cache_hit = cache_hit;
+            report.total = span.finish();
+            self.telemetry
+                .record_duration("compile.total_ns", report.total);
+            Ok(EngineOutput {
+                compiled: entry.compiled,
+                report,
+            })
         }))
         // `as_ref` reaches the payload itself; `&payload` would coerce the
         // `Box` into the `dyn Any` and every downcast below would miss.

@@ -17,11 +17,11 @@
 //!    optional disk tier ([`persist`]) survives process restarts, and
 //!    concurrent misses on one key are coalesced into a single compile.
 //!    Hit/miss/eviction/byte counters surface in [`CacheStats`].
-//! 3. **Batch driver** ([`batch`]): [`BatchEngine::compile_all`] spreads a
+//! 3. **Batch driver** ([`batch`]): [`Engine::compile_all`] spreads a
 //!    `Vec` of jobs across a `std::thread` worker pool (no external
 //!    runtime), preserving job order and sharing one cache.
-//! 4. **Compile service** ([`serve`], [`proto`]): a TCP front-end over the
-//!    batch engine speaking newline-delimited JSON — bounded work queue
+//! 4. **Compile service** ([`serve`], [`proto`]): a TCP front-end over an
+//!    [`Engine`] speaking newline-delimited JSON — bounded work queue
 //!    with backpressure, per-request deadlines, panic isolation, graceful
 //!    drain, and reports streamed back as each job finishes. `phc serve` /
 //!    `phc submit` let multiple processes share one `--cache-dir`.
@@ -38,24 +38,31 @@
 //!    ([`CacheStats::disk_disabled`]); the server's watchdog turns stuck
 //!    compiles into typed `watchdog_timeout` answers.
 //! 6. **Telemetry** ([`ph_telemetry`], attached via
-//!    [`Engine::with_telemetry`] / [`BatchEngine::with_telemetry`]): spans
+//!    [`Engine::with_telemetry`]): spans
 //!    for every batch, job, request, and pass; cache events mirroring the
 //!    [`CacheStats`] counters; and latency histograms — exportable as a
 //!    JSONL stream or a Chrome/Perfetto trace. The default sink is a
 //!    no-op, so uninstrumented compiles pay effectively nothing.
 //!
+//! One [`Engine`] drives all of it: a direct [`Engine::compile_with`], a
+//! batch, and every service worker run the same compile path, and each
+//! gets its synthesis worker budget from [`Engine::intra_budget`].
+//!
 //! ```
-//! use ph_engine::{BatchEngine, CompileJob, Pipeline, Target};
+//! use ph_engine::{CompileJob, Engine, Pipeline, Target};
 //! use paulihedral::parse::parse_program;
 //!
 //! let ir = parse_program("{(ZZY, 0.5), 1.0}; {(ZZI, 0.3), 1.0};")?;
-//! let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant);
+//! let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
 //! let results = engine.compile_all(vec![
 //!     CompileJob::named("a", ir.clone()),
-//!     CompileJob::named("b", ir), // identical → served from cache
+//!     CompileJob::named("b", ir), // identical → compiled once
 //! ]);
-//! assert!(results[1].outcome.as_ref().unwrap().report.cache_hit);
-//! assert_eq!(engine.engine().cache_stats().hits, 1);
+//! assert!(results[1].outcome.is_ok());
+//! // Run one after the other, the second job is a cache hit; run side by
+//! // side, it waits for the first and shares its result (coalesced).
+//! let stats = engine.cache_stats();
+//! assert_eq!((stats.misses, stats.hits + stats.coalesced), (1, 1));
 //! # Ok::<(), paulihedral::parse::ParseError>(())
 //! ```
 
@@ -84,12 +91,12 @@ pub mod json {
     pub use ph_telemetry::json::*;
 }
 
-pub use batch::{BatchEngine, BatchResult, CompileJob};
+pub use batch::{BatchResult, CompileJob};
 pub use cache::{CacheConfig, CacheOutcome, CacheStats, CompileCache};
 pub use client::{Client, ClientConfig, ClientError, ClientStats, Connection};
 pub use engine::{Engine, EngineOutput};
 pub use fault::{Fault, FaultCounters, FaultPlan};
-pub use pass::{FusionPass, Pass, PassContext, PeepholePass, SchedulePass, SynthesisPass, Target};
+pub use pass::{Pass, PassContext, PeepholePass, SchedulePass, SynthesisPass, Target};
 pub use ph_telemetry::{Collector, MetricsSnapshot, Telemetry};
 pub use pipeline::{Pipeline, PipelineBuilder};
 pub use proto::{CompileRequest, Request};

@@ -5,10 +5,11 @@ use std::sync::Arc;
 
 use paulihedral::synth::par::Intra;
 use paulihedral::{synth, Backend, CompileError, Scheduler};
-use qcircuit::{fusion, peephole};
+use qcircuit::peephole;
 use qdevice::{CouplingMap, NoiseModel};
 
 use crate::cache::Fingerprint;
+use crate::proto::scheduler_spec;
 use crate::unit::CompileUnit;
 
 /// The technology target of a compilation — the owned counterpart of the
@@ -175,14 +176,6 @@ impl SchedulePass {
     }
 }
 
-fn scheduler_tag(s: Scheduler) -> &'static str {
-    match s {
-        Scheduler::GateCount => "gco",
-        Scheduler::Depth => "do",
-        Scheduler::Auto => "auto",
-    }
-}
-
 impl Pass for SchedulePass {
     fn name(&self) -> &'static str {
         "schedule"
@@ -191,7 +184,7 @@ impl Pass for SchedulePass {
     fn signature(&self, ctx: &PassContext<'_>) -> String {
         // `auto` is a sound cache tag: it resolves as a pure function of
         // the IR, which is hashed alongside this signature.
-        format!("schedule:{}", scheduler_tag(self.effective(ctx)))
+        format!("schedule:{}", scheduler_spec(self.effective(ctx)))
     }
 
     fn run(&self, unit: &mut CompileUnit, ctx: &PassContext<'_>) -> Result<String, CompileError> {
@@ -200,7 +193,7 @@ impl Pass for SchedulePass {
         unit.scheduler_used = Some(resolved);
         Ok(format!(
             "{} -> {} layers",
-            scheduler_tag(resolved),
+            scheduler_spec(resolved),
             unit.layers.as_ref().map_or(0, Vec::len)
         ))
     }
@@ -230,18 +223,12 @@ impl Pass for SynthesisPass {
         let n = unit.ir.num_qubits();
         match ctx.target {
             Target::FaultTolerant => {
-                let r = synth::ft::synthesize_unoptimized_with(n, layers, ctx.intra);
+                let r = synth::ft::synthesize(n, layers, ctx.intra);
                 unit.circuit = Some(r.circuit);
                 unit.emitted = r.emitted;
             }
             Target::Superconducting { device, noise } => {
-                let r = synth::sc::synthesize_unoptimized_with(
-                    n,
-                    layers,
-                    device,
-                    noise.as_deref(),
-                    ctx.intra,
-                );
+                let r = synth::sc::synthesize(n, layers, device, noise.as_deref(), ctx.intra);
                 unit.circuit = Some(r.circuit);
                 unit.emitted = r.emitted;
                 unit.initial_l2p = Some(r.initial_l2p);
@@ -253,8 +240,8 @@ impl Pass for SynthesisPass {
 }
 
 /// Commutation-aware peephole cancellation ([`qcircuit::peephole`]) — the
-/// clean-up [`paulihedral::compile`] runs as the tail of synthesis, split
-/// out so the report shows what it cancelled.
+/// clean-up [`paulihedral::compile`] runs after synthesis, as its own pass
+/// so the report shows what it cancelled.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PeepholePass;
 
@@ -277,31 +264,5 @@ impl Pass for PeepholePass {
             "cancelled {}, merged {}, zeroed {}, {} rounds",
             r.cancelled, r.merged, r.zero_rotations, r.rounds
         ))
-    }
-}
-
-/// Single-qubit gate-run fusion ([`qcircuit::fusion`]). Not part of the
-/// standard pipeline — [`paulihedral::compile`] does not run it — but
-/// available for pipelines that trade a little compile time for shorter
-/// single-qubit runs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FusionPass;
-
-impl Pass for FusionPass {
-    fn name(&self) -> &'static str {
-        "fusion"
-    }
-
-    fn signature(&self, _ctx: &PassContext<'_>) -> String {
-        "fusion".into()
-    }
-
-    fn run(&self, unit: &mut CompileUnit, _ctx: &PassContext<'_>) -> Result<String, CompileError> {
-        let circuit = unit
-            .circuit
-            .as_mut()
-            .expect("FusionPass needs a circuit — add a SynthesisPass first");
-        let removed = fusion::fuse_single_qubit_runs(circuit);
-        Ok(format!("fused away {removed} gates"))
     }
 }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use paulihedral::Scheduler;
 
-use crate::pass::{FusionPass, Pass, PassContext, PeepholePass, SchedulePass, SynthesisPass};
+use crate::pass::{Pass, PassContext, PeepholePass, SchedulePass, SynthesisPass};
 
 /// An ordered sequence of [`Pass`]es, shared (cheaply cloned) across batch
 /// worker threads.
@@ -73,11 +73,6 @@ impl PipelineBuilder {
     /// Appends the commutation-aware peephole clean-up.
     pub fn peephole(self) -> PipelineBuilder {
         self.pass(PeepholePass)
-    }
-
-    /// Appends single-qubit gate-run fusion (not in the standard pipeline).
-    pub fn fuse_single_qubit_runs(self) -> PipelineBuilder {
-        self.pass(FusionPass)
     }
 
     /// Appends an arbitrary custom pass.

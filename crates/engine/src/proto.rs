@@ -109,7 +109,9 @@ pub fn parse_scheduler_spec(spec: &str) -> Result<Scheduler, String> {
     }
 }
 
-fn scheduler_spec(s: Scheduler) -> &'static str {
+/// The spec string [`parse_scheduler_spec`] reads back (`auto`, `gco`,
+/// `do`); also the scheduler's tag in pass signatures and notes.
+pub(crate) fn scheduler_spec(s: Scheduler) -> &'static str {
     match s {
         Scheduler::Auto => "auto",
         Scheduler::GateCount => "gco",

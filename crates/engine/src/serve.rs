@@ -1,12 +1,14 @@
-//! `ph_serve`: a TCP compile service over the batch engine.
+//! `ph_serve`: a TCP compile service over an [`Engine`].
 //!
-//! One [`Server`] owns a [`crate::BatchEngine`]: a listener thread accepts
+//! One [`Server`] owns an [`Engine`]: a listener thread accepts
 //! connections, one reader thread per connection parses newline-delimited
-//! JSON requests ([`crate::proto`]) into a bounded work queue, and the
-//! engine's worker pool pulls jobs off the queue, compiles them through
-//! the shared single-flight cache, and **streams each report back the
-//! moment it finishes** — no batch barrier, and results from different
-//! connections interleave freely.
+//! JSON requests ([`crate::proto`]) into a bounded work queue, and
+//! [`Engine::threads`] workers pull jobs off the queue, compile them
+//! through the shared single-flight cache, and **stream each report back
+//! the moment it finishes** — no batch barrier, and results from different
+//! connections interleave freely. Each compile gets
+//! [`Engine::intra_budget`]`(threads)` synthesis workers, so the service
+//! never oversubscribes the machine.
 //!
 //! Robustness properties, all tested end-to-end (and under injected
 //! faults by the chaos suite):
@@ -18,7 +20,7 @@
 //!   jobs still queued when it passes (`deadline_exceeded`), so a slow
 //!   queue cannot serve stale work.
 //! * **Errors as values.** Compiler rejections, panics inside a pass
-//!   ([`crate::Engine::compile_caught`]), malformed requests, and
+//!   ([`Engine::compile_with`]), malformed requests, and
 //!   oversized lines are all wire responses; none of them kill the
 //!   connection, the worker, or the server.
 //! * **Dead connections don't waste workers.** A client that vanishes
@@ -37,8 +39,8 @@
 //!   [`Server::run`] returns.
 //!
 //! Telemetry: each connection runs under a `conn` span, each job under a
-//! `request` span (with `id`/`conn`/`queue_wait_us` args) that the
-//! engine's `compile` span nests inside, plus `serve.request` /
+//! `request` span (with `id`/`conn`/`queue_wait_us`/`intra_budget` args)
+//! that the engine's `compile` span nests inside, plus `serve.request` /
 //! `serve.reject` / `serve.deadline_miss` / `serve.cancelled` /
 //! `serve.watchdog_timeout` instants and `serve.queue_wait_ns` /
 //! `serve.request_ns` histograms.
@@ -55,8 +57,8 @@ use paulihedral::ir::PauliIR;
 use paulihedral::parse::parse_program;
 use ph_telemetry::json::Json;
 
-use crate::batch::BatchEngine;
 use crate::cache::{relock, CacheEntry};
+use crate::engine::Engine;
 use crate::fault::{ConnFault, Fault};
 use crate::pass::Target;
 use crate::persist;
@@ -242,7 +244,7 @@ enum PushError {
 }
 
 struct Inner {
-    batch: BatchEngine,
+    engine: Engine,
     config: ServeConfig,
     addr: SocketAddr,
     queue: Mutex<VecDeque<Job>>,
@@ -398,10 +400,7 @@ impl Inner {
                     ("queued", Json::U64(self.queued() as u64)),
                 ]),
             ),
-            (
-                "cache",
-                proto::cache_json(&self.batch.engine().cache_stats()),
-            ),
+            ("cache", proto::cache_json(&self.engine.cache_stats())),
         ])
     }
 
@@ -409,9 +408,9 @@ impl Inner {
     /// cache tier status, cheap enough for load-balancer probes.
     fn health_json(&self) -> Json {
         let s = self.stats();
-        let cache = self.batch.engine().cache_stats();
+        let cache = self.engine.cache_stats();
         let draining = self.draining.load(Ordering::SeqCst);
-        let disk_tier = if self.batch.engine().cache_config().disk_dir.is_none() {
+        let disk_tier = if self.engine.cache_config().disk_dir.is_none() {
             "none"
         } else if cache.disk_disabled {
             "disabled"
@@ -431,7 +430,7 @@ impl Inner {
             ("draining", Json::Bool(draining)),
             ("queued", Json::U64(self.queued() as u64)),
             ("queue_depth", Json::U64(self.config.queue_depth as u64)),
-            ("workers", Json::U64(self.batch.threads() as u64)),
+            ("workers", Json::U64(self.engine.threads() as u64)),
             ("workers_replaced", Json::U64(s.workers_replaced)),
             ("running", Json::U64(relock(&self.running).len() as u64)),
             ("watchdog_timeouts", Json::U64(s.watchdog_timeouts)),
@@ -444,7 +443,7 @@ impl Inner {
     /// it was ever accepted — parse and validation failures).
     fn reject(&self, conn: &Conn, req: &CompileRequest, kind: &str, message: &str) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.batch.engine().telemetry().mark("serve.reject", &[]);
+        self.engine.telemetry().mark("serve.reject", &[]);
         conn.write_line(&proto::reject_json(
             req.id,
             &req.display_name(),
@@ -458,7 +457,7 @@ impl Inner {
     /// exactly one report line (now, or later from a worker).
     fn submit(&self, conn: &Arc<Conn>, req: CompileRequest) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.batch.engine().telemetry().mark("serve.request", &[]);
+        self.engine.telemetry().mark("serve.request", &[]);
         let ir = match parse_program(&req.ir) {
             Ok(ir) => ir,
             Err(e) => {
@@ -507,7 +506,7 @@ impl Inner {
                 ),
                 PushError::Draining => ("draining", "server is shutting down".to_string()),
             };
-            self.batch.engine().telemetry().mark("serve.reject", &[]);
+            self.engine.telemetry().mark("serve.reject", &[]);
             let line = proto::reject_json(job.req.id, &job.ticket.name, tag, &message);
             self.answer(&job.ticket, Some(&line), &self.rejected);
         }
@@ -516,7 +515,8 @@ impl Inner {
     /// One worker: pull → liveness/deadline check → compile → stream the
     /// report (unless the watchdog already answered for us).
     fn worker(self: &Arc<Inner>) {
-        let telemetry = self.batch.engine().telemetry().clone();
+        let telemetry = self.engine.telemetry().clone();
+        let intra_budget = self.engine.intra_budget(self.engine.threads());
         while let Some(job) = self.pop() {
             let queue_wait = job.enqueued.elapsed();
             let span = telemetry.span_with(
@@ -530,6 +530,7 @@ impl Inner {
                             .unwrap_or(u64::MAX)
                             .into(),
                     ),
+                    ("intra_budget", intra_budget.into()),
                 ],
             );
             if job.ticket.conn.is_dead() {
@@ -549,10 +550,11 @@ impl Inner {
             } else {
                 relock(&self.running).push((Arc::clone(&job.ticket), Instant::now()));
                 let t0 = Instant::now();
-                let outcome = self.batch.engine().compile_caught(
+                let outcome = self.engine.compile_budgeted(
                     &job.ir,
                     job.target.as_ref(),
                     job.req.scheduler,
+                    intra_budget,
                 );
                 let wall = t0.elapsed();
                 relock(&self.running).retain(|(t, _)| !Arc::ptr_eq(t, &job.ticket));
@@ -588,9 +590,9 @@ impl Inner {
     /// and spawn a replacement for each written-off worker (bounded, so a
     /// pathological workload cannot spawn threads without limit).
     fn watchdog(self: &Arc<Inner>, threshold: Duration) {
-        let replacement_cap = (self.batch.threads() as u64) * 4;
+        let replacement_cap = (self.engine.threads() as u64) * 4;
         let tick = (threshold / 4).max(Duration::from_millis(1));
-        let telemetry = self.batch.engine().telemetry().clone();
+        let telemetry = self.engine.telemetry().clone();
         while !self.done.load(Ordering::SeqCst) {
             thread::sleep(tick);
             let stuck: Vec<Arc<Ticket>> = {
@@ -668,7 +670,7 @@ impl Inner {
     /// answer control messages inline, and on EOF wait for this
     /// connection's in-flight jobs before saying goodbye.
     fn handle_conn(self: &Arc<Inner>, conn: Arc<Conn>, stream: TcpStream) {
-        let telemetry = self.batch.engine().telemetry().clone();
+        let telemetry = self.engine.telemetry().clone();
         let span = telemetry.span_with("conn", vec![("conn", conn.id.into())]);
         let mut reader = BufReader::new(stream);
         loop {
@@ -776,7 +778,7 @@ impl Server {
     /// Any [`TcpListener::bind`] failure.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        batch: BatchEngine,
+        engine: Engine,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
@@ -784,7 +786,7 @@ impl Server {
         Ok(Server {
             listener,
             inner: Arc::new(Inner {
-                batch,
+                engine,
                 config,
                 addr,
                 queue: Mutex::new(VecDeque::new()),
@@ -829,7 +831,7 @@ impl Server {
     /// (written off by the watchdog) cannot wedge the drain with it.
     pub fn run(self) -> ServeStats {
         let inner = self.inner;
-        for _ in 0..inner.batch.threads() {
+        for _ in 0..inner.engine.threads() {
             let inner = Arc::clone(&inner);
             thread::spawn(move || inner.worker());
         }
@@ -856,7 +858,7 @@ impl Server {
                 served: AtomicU64::new(0),
                 closed: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
-                fault: inner.batch.engine().fault().clone(),
+                fault: inner.engine.fault().clone(),
             });
             relock(&inner.conns).push(Arc::clone(&conn));
             let inner = Arc::clone(&inner);

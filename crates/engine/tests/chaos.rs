@@ -25,8 +25,8 @@ use paulihedral::{CompileError, Scheduler};
 use ph_engine::json::Json;
 use ph_engine::proto::{self, CompileRequest, Request};
 use ph_engine::{
-    BatchEngine, CacheConfig, Client, ClientConfig, CompileUnit, Connection, Engine, Fault,
-    FaultPlan, Pass, PassContext, Pipeline, ServeConfig, Server, Target,
+    CacheConfig, Client, ClientConfig, CompileUnit, Connection, Engine, Fault, FaultPlan, Pass,
+    PassContext, Pipeline, ServeConfig, Server, Target,
 };
 use workloads::suite::{self, BackendClass};
 
@@ -47,7 +47,7 @@ fn distinct_ir(i: usize) -> String {
 }
 
 fn spawn_server(
-    engine: BatchEngine,
+    engine: Engine,
     config: ServeConfig,
 ) -> (
     std::net::SocketAddr,
@@ -153,7 +153,7 @@ fn disk_faults_degrade_to_memory_only_then_heal() {
     for i in 0..4 {
         let ir = parse_program(&distinct_ir(i)).expect("parse");
         engine
-            .compile(&ir)
+            .compile_with(&ir, None, None)
             .expect("faulty disk never fails compiles");
     }
     let stats = engine.cache_stats();
@@ -170,7 +170,7 @@ fn disk_faults_degrade_to_memory_only_then_heal() {
     // touched at all: no new errors accumulate.
     let errors_when_disabled = stats.disk_errors;
     let ir = parse_program(&distinct_ir(100)).expect("parse");
-    engine.compile(&ir).expect("compile");
+    engine.compile_with(&ir, None, None).expect("compile");
     assert_eq!(engine.cache_stats().disk_errors, errors_when_disabled);
 
     // The disk recovers (faults off); after the re-probe window one
@@ -178,7 +178,7 @@ fn disk_faults_degrade_to_memory_only_then_heal() {
     fault.pause();
     thread::sleep(Duration::from_millis(60));
     let ir = parse_program(&distinct_ir(101)).expect("parse");
-    engine.compile(&ir).expect("compile");
+    engine.compile_with(&ir, None, None).expect("compile");
     let healed = engine.cache_stats();
     assert!(!healed.disk_disabled, "re-probe must heal: {healed:?}");
     assert!(healed.disk_heals >= 1, "heal counted: {healed:?}");
@@ -191,7 +191,7 @@ fn disk_faults_degrade_to_memory_only_then_heal() {
             ..CacheConfig::default()
         });
     let ir = parse_program(&distinct_ir(101)).expect("parse");
-    fresh.compile(&ir).expect("compile");
+    fresh.compile_with(&ir, None, None).expect("compile");
     assert_eq!(fresh.cache_stats().disk_hits, 1);
 }
 
@@ -208,7 +208,7 @@ fn chaos_suite_terminates_and_successes_are_bit_identical() {
          worker.panic=0.12,worker.delay=0.1,worker.delay_ms=2,conn.drop=0.1",
     )
     .unwrap();
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .with_cache_config(CacheConfig {
             disk_dir: Some(dir),
             ..CacheConfig::default()
@@ -310,7 +310,7 @@ fn chaos_suite_terminates_and_successes_are_bit_identical() {
 /// need re-verification).
 #[test]
 fn client_retries_through_dropped_connections() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .with_threads(1)
         .with_fault(Fault::seeded(
             FaultPlan::parse("seed=9,conn.drop=0.25").unwrap(),
@@ -361,7 +361,7 @@ fn client_retries_through_dropped_connections() {
 #[test]
 fn watchdog_times_out_stuck_jobs_and_drain_still_completes() {
     let gate = GatePass::default();
-    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant)
+    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant)
         .without_cache()
         .with_threads(1);
     let config = ServeConfig {
@@ -427,7 +427,7 @@ fn watchdog_times_out_stuck_jobs_and_drain_still_completes() {
 #[test]
 fn dead_connection_cancels_queued_jobs() {
     let gate = GatePass::default();
-    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant)
+    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant)
         .without_cache()
         .with_threads(1);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
@@ -478,7 +478,7 @@ fn dead_connection_cancels_queued_jobs() {
 #[test]
 fn health_reports_disk_degradation() {
     // Healthy server, no disk tier.
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
     let (addr, _handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
     client.send(&Request::Health).expect("send");
@@ -491,7 +491,7 @@ fn health_reports_disk_degradation() {
 
     // Degraded server: every disk op fails, threshold 1.
     let dir = scratch("health");
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .with_cache_config(CacheConfig {
             disk_dir: Some(dir),
             disk_error_threshold: 1,

@@ -13,9 +13,10 @@ use paulihedral::{CompileError, Scheduler};
 use ph_engine::json::Json;
 use ph_engine::proto::{self, CompileRequest, Request};
 use ph_engine::{
-    BatchEngine, CompileJob, CompileUnit, Connection, Engine, Pass, PassContext, Pipeline,
-    ServeConfig, ServeStats, Server, ServerHandle, Target,
+    Collector, CompileJob, CompileUnit, Connection, Engine, Pass, PassContext, Pipeline,
+    ServeConfig, ServeStats, Server, ServerHandle, Target, Telemetry,
 };
+use ph_telemetry::{ArgValue, EventKind};
 use workloads::suite::{self, BackendClass};
 
 const TINY_IR: &str = "{(ZZY, 0.5), 1.0};\n{(XXI, 0.3), 1.0};\n";
@@ -23,7 +24,7 @@ const TINY_IR: &str = "{(ZZY, 0.5), 1.0};\n{(XXI, 0.3), 1.0};\n";
 /// Binds an ephemeral-port server, runs it on a background thread, and
 /// returns everything a test needs to drive and drain it.
 fn spawn_server(
-    engine: BatchEngine,
+    engine: Engine,
     config: ServeConfig,
 ) -> (SocketAddr, ServerHandle, JoinHandle<ServeStats>) {
     let server = Server::bind("127.0.0.1:0", engine, config).expect("bind ephemeral port");
@@ -154,7 +155,7 @@ impl Pass for PanicPass {
 /// first one lands while the server is still working on the rest.
 #[test]
 fn streamed_suite_reports_are_bit_identical_to_in_process_compiles() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -246,7 +247,7 @@ fn streamed_suite_reports_are_bit_identical_to_in_process_compiles() {
 /// submit again on the same connection with no batch barrier in between.
 #[test]
 fn reports_stream_interactively_without_a_batch_barrier() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -277,7 +278,7 @@ fn reports_stream_interactively_without_a_batch_barrier() {
 /// report before `run` returns, and the listener is gone afterwards.
 #[test]
 fn shutdown_drains_accepted_jobs_before_exiting() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
     let (addr, _handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -318,7 +319,7 @@ fn shutdown_drains_accepted_jobs_before_exiting() {
 #[test]
 fn full_queue_rejects_with_overloaded() {
     let gate = GatePass::default();
-    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
     let config = ServeConfig {
         queue_depth: 1,
         ..ServeConfig::default()
@@ -356,7 +357,7 @@ fn full_queue_rejects_with_overloaded() {
 #[test]
 fn queued_jobs_past_their_deadline_are_expired() {
     let gate = GatePass::default();
-    let engine = BatchEngine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -394,7 +395,7 @@ fn queued_jobs_past_their_deadline_are_expired() {
 /// through every one of them.
 #[test]
 fn errors_are_values_and_the_connection_survives_them() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(2);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(2);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -464,7 +465,7 @@ fn a_panicking_pass_is_reported_not_fatal() {
         .schedule(Scheduler::Auto)
         .synthesize()
         .build();
-    let engine = BatchEngine::new(pipeline, Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(pipeline, Target::FaultTolerant).with_threads(1);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -497,7 +498,7 @@ fn batch_jobs_that_panic_become_per_job_errors() {
         .schedule(Scheduler::Auto)
         .synthesize()
         .build();
-    let engine = BatchEngine::new(pipeline, Target::FaultTolerant)
+    let engine = Engine::new(pipeline, Target::FaultTolerant)
         .without_cache()
         .with_threads(2);
     let ir = parse_program(TINY_IR).expect("parse");
@@ -518,7 +519,7 @@ fn batch_jobs_that_panic_become_per_job_errors() {
 /// cache.
 #[test]
 fn wire_stats_expose_service_and_cache_counters() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -539,4 +540,36 @@ fn wire_stats_expose_service_and_cache_counters() {
 
     handle.shutdown();
     runner.join().expect("server thread");
+}
+
+/// Service workers compile with the engine's budget for [`Engine::threads`]
+/// concurrent compiles: one worker with the intra knob at `0` gives every
+/// request one synthesis worker per CPU, recorded on its `request` span.
+#[test]
+fn serve_compiles_with_the_engines_intra_budget() {
+    let collector = Arc::new(Collector::new());
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
+        .with_threads(1)
+        .with_intra_threads(0)
+        .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
+    let expected = engine.intra_budget(1);
+    let cpus = thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(expected, cpus, "knob 0 resolves to the CPU count");
+    let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
+    let mut client = Connection::connect(addr).expect("connect");
+    for id in 1..=2 {
+        client.send(&compile_req(id, TINY_IR)).expect("send");
+        assert!(is_ok_report(&recv(&mut client)));
+    }
+    handle.shutdown();
+    runner.join().expect("server thread");
+
+    let budgets: Vec<ArgValue> = collector
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "request" && e.kind == EventKind::Begin)
+        .filter_map(|e| e.args.into_iter().find(|(k, _)| *k == "intra_budget"))
+        .map(|(_, v)| v)
+        .collect();
+    assert_eq!(budgets, vec![ArgValue::U64(expected as u64); 2]);
 }

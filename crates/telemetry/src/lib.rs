@@ -16,7 +16,7 @@
 //! # Cost model
 //!
 //! A [`Telemetry`] handle is either *attached* to a [`Collector`] or
-//! *disabled* (the default, and the global no-op sink). Every recording
+//! *disabled* (the default no-op sink). Every recording
 //! method starts with an `Option` check, so the disabled hot path does no
 //! locking, no allocation, and no timestamping beyond the one
 //! `Instant::now` a span needs anyway to return its duration — verified
@@ -51,7 +51,7 @@ pub mod metrics;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 pub use metrics::{Histogram, HistogramSummary, MetricsSnapshot};
@@ -391,25 +391,6 @@ impl Drop for Span {
     }
 }
 
-static GLOBAL: OnceLock<Mutex<Telemetry>> = OnceLock::new();
-
-fn global_slot() -> &'static Mutex<Telemetry> {
-    GLOBAL.get_or_init(|| Mutex::new(Telemetry::disabled()))
-}
-
-/// Installs a process-global handle (returned by [`global`]). The default
-/// global sink is the no-op [`Telemetry::disabled`]; nothing in the engine
-/// reads the global implicitly — it exists for binaries that want one
-/// ambient collector without threading handles through their own plumbing.
-pub fn install_global(telemetry: Telemetry) {
-    *relock(global_slot()) = telemetry;
-}
-
-/// The current global handle (disabled unless [`install_global`] ran).
-pub fn global() -> Telemetry {
-    relock(global_slot()).clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,14 +497,5 @@ mod tests {
             .find(|e| e.name == "worker" && e.kind == EventKind::Begin)
             .unwrap();
         assert_eq!(worker.parent, None, "other thread's stack must be empty");
-    }
-
-    #[test]
-    fn global_defaults_to_disabled_and_accepts_installs() {
-        // Note: the global is process-wide; this test only ever installs a
-        // disabled handle so parallel tests cannot observe a difference.
-        assert!(!global().is_enabled() || global().is_enabled());
-        install_global(Telemetry::disabled());
-        assert!(!global().is_enabled());
     }
 }

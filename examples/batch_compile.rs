@@ -7,7 +7,7 @@
 //! ```
 
 use paulihedral::Scheduler;
-use ph_engine::{BatchEngine, CacheConfig, CompileJob, Pipeline, Target};
+use ph_engine::{CacheConfig, CompileJob, Engine, Pipeline, Target};
 use qdevice::devices;
 use workloads::suite::{self, BackendClass};
 
@@ -34,7 +34,7 @@ fn main() {
     let names = ["Ising-1D", "Heisen-2D", "REG-20-4", "UCCSD-8"];
     let sc_target = Target::superconducting(devices::manhattan_65());
 
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
     println!(
         "compiling {} programs on {} worker thread(s)\n",
         names.len(),
@@ -62,7 +62,7 @@ fn main() {
         .count();
     println!("resubmitted {} jobs: {hits} cache hits", again.len());
 
-    let cs = engine.engine().cache_stats();
+    let cs = engine.cache_stats();
     println!(
         "cache: {} hits, {} misses, {} coalesced, {} evictions, {} entries (~{} KiB resident)",
         cs.hits,
@@ -83,12 +83,12 @@ fn main() {
         ..CacheConfig::default()
     };
     let cold =
-        BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_cache_config(disk_config());
+        Engine::new(Pipeline::auto(), Target::FaultTolerant).with_cache_config(disk_config());
     cold.compile_all(suite_jobs(&names, &sc_target));
     let warm =
-        BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_cache_config(disk_config());
+        Engine::new(Pipeline::auto(), Target::FaultTolerant).with_cache_config(disk_config());
     warm.compile_all(suite_jobs(&names, &sc_target));
-    let ws = warm.engine().cache_stats();
+    let ws = warm.cache_stats();
     println!(
         "persistent tier: fresh engine served {} of {} jobs from {}",
         ws.disk_hits,

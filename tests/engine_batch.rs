@@ -4,7 +4,7 @@
 //! and its cache must serve repeated programs without changing results.
 
 use paulihedral::{try_compile, Backend, CompileOptions, Scheduler};
-use ph_engine::{BatchEngine, CompileJob, Pipeline, Target};
+use ph_engine::{CompileJob, Engine, Pipeline, Target};
 use qdevice::devices;
 use workloads::suite::{self, BackendClass};
 
@@ -38,7 +38,7 @@ fn batch_engine_is_bit_identical_to_sequential_compile_on_all_31_benchmarks() {
         })
         .collect();
 
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
     let results = engine.compile_all(jobs);
     assert_eq!(results.len(), 31);
 
@@ -113,7 +113,7 @@ fn repeated_programs_hit_the_cache_with_identical_circuits() {
         .map(|i| CompileJob::named(format!("step-{i}"), ir.clone()))
         .collect();
     // Single worker → deterministic hit pattern.
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
     let results = engine.compile_all(jobs);
 
     let outputs: Vec<_> = results
@@ -127,14 +127,14 @@ fn repeated_programs_hit_the_cache_with_identical_circuits() {
         // Hits share the original allocation rather than copying it.
         assert!(std::sync::Arc::ptr_eq(&o.compiled, &outputs[0].compiled));
     }
-    let stats = engine.engine().cache_stats();
+    let stats = engine.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (4, 1, 1));
 }
 
 #[test]
 fn cache_distinguishes_pipeline_and_target_configuration() {
     let ir = suite::generate("Ising-2D").ir;
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
     let results = engine.compile_all(vec![
         CompileJob::named("gco", ir.clone()).with_scheduler(Scheduler::GateCount),
         CompileJob::named("do", ir.clone()).with_scheduler(Scheduler::Depth),
@@ -148,12 +148,12 @@ fn cache_distinguishes_pipeline_and_target_configuration() {
         .collect();
     assert_ne!(keys[0], keys[1], "scheduler must change the cache key");
     assert_ne!(keys[1], keys[2], "target must change the cache key");
-    assert_eq!(engine.engine().cache_stats().hits, 0);
+    assert_eq!(engine.cache_stats().hits, 0);
 }
 
 #[test]
 fn with_threads_zero_clamps_to_one_worker() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(0);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(0);
     assert_eq!(engine.threads(), 1);
     // And the clamped pool still compiles.
     let results = engine.compile_all(vec![CompileJob::named(
@@ -165,7 +165,7 @@ fn with_threads_zero_clamps_to_one_worker() {
 
 #[test]
 fn worker_count_never_exceeds_the_job_count() {
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(8);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(8);
     assert_eq!(engine.threads(), 8);
     assert_eq!(
         engine.worker_count(3),
@@ -196,7 +196,7 @@ fn queue_wait_is_measured_and_consistent_with_batch_wall_time() {
         .collect();
     // One worker serializes the jobs, so later jobs must have queued at
     // least as long as all earlier jobs took to run.
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(1);
     let t0 = std::time::Instant::now();
     let results = engine.compile_all(jobs);
     let batch_elapsed = t0.elapsed();
@@ -232,7 +232,7 @@ fn queue_wait_is_measured_and_consistent_with_batch_wall_time() {
 fn batch_reports_per_job_errors_without_failing_the_batch() {
     let good = suite::generate("Ising-1D").ir;
     let empty = paulihedral::ir::PauliIR::new(4);
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
     let results = engine.compile_all(vec![
         CompileJob::named("good", good),
         CompileJob::named("empty", empty.clone()),

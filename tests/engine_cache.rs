@@ -11,7 +11,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 
 use ph_engine::cache::{CacheEntry, CompileCache};
-use ph_engine::{BatchEngine, CacheConfig, CompileJob, Engine, Pipeline, Target};
+use ph_engine::{CacheConfig, CompileJob, Engine, Pipeline, Target};
 use workloads::suite;
 
 /// A unique, self-cleaning cache directory under the system temp dir.
@@ -49,8 +49,8 @@ impl Drop for CacheDir {
     }
 }
 
-fn ft_engine(config: CacheConfig) -> BatchEngine {
-    BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_cache_config(config)
+fn ft_engine(config: CacheConfig) -> Engine {
+    Engine::new(Pipeline::auto(), Target::FaultTolerant).with_cache_config(config)
 }
 
 /// Every fault-tolerant Table 1 benchmark as a batch job. (The FT subset
@@ -72,14 +72,14 @@ fn disk_tier_warm_starts_a_fresh_engine_bit_identically() {
     let cold = ft_engine(dir.config());
     let cold_results = cold.compile_all(ft_jobs());
     let n = cold_results.len() as u64;
-    let cs = cold.engine().cache_stats();
+    let cs = cold.cache_stats();
     assert_eq!((cs.misses, cs.disk_hits), (n, 0), "cold run compiles all");
     assert_eq!(dir.files().len() as u64, n, "one cache file per program");
 
     // A fresh engine (empty memory tier) must serve everything from disk.
     let warm = ft_engine(dir.config());
     let warm_results = warm.compile_all(ft_jobs());
-    let ws = warm.engine().cache_stats();
+    let ws = warm.cache_stats();
     assert_eq!((ws.misses, ws.disk_hits), (0, n), "warm run never compiles");
 
     for (c, w) in cold_results.iter().zip(&warm_results) {
@@ -122,7 +122,7 @@ fn corrupt_cache_files_degrade_to_misses() {
 
     let warm = ft_engine(dir.config());
     let recompiled = warm.compile_all(jobs());
-    let ws = warm.engine().cache_stats();
+    let ws = warm.cache_stats();
     assert_eq!(
         (ws.misses, ws.disk_hits),
         (2, 0),
@@ -140,7 +140,7 @@ fn corrupt_cache_files_degrade_to_misses() {
     // The recompile rewrote valid entries; a third engine hits both.
     let healed = ft_engine(dir.config());
     healed.compile_all(jobs());
-    assert_eq!(healed.engine().cache_stats().disk_hits, 2);
+    assert_eq!(healed.cache_stats().disk_hits, 2);
 }
 
 #[test]
@@ -150,14 +150,14 @@ fn concurrent_duplicate_jobs_compile_exactly_once() {
         .map(|i| CompileJob::named(format!("step-{i}"), ir.clone()))
         .collect();
 
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(4);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_threads(4);
     let outputs: Vec<_> = engine
         .compile_all(jobs)
         .into_iter()
         .map(|r| r.outcome.expect("valid program"))
         .collect();
 
-    let stats = engine.engine().cache_stats();
+    let stats = engine.cache_stats();
     assert_eq!(stats.misses, 1, "racing workers must compile once");
     assert_eq!(
         stats.hits + stats.coalesced,
@@ -192,7 +192,7 @@ fn bounded_cache_evicts_without_changing_results() {
     })
     .with_threads(1);
     let results = engine.compile_all(jobs);
-    let stats = engine.engine().cache_stats();
+    let stats = engine.cache_stats();
     assert_eq!(stats.misses, 6, "thrashing workload recompiles every step");
     assert_eq!(stats.evictions, 5, "each insert after the first evicts");
     assert_eq!(stats.entries, 1, "budget is enforced");
@@ -211,7 +211,7 @@ fn bounded_cache_evicts_without_changing_results() {
 fn real_entry(name: &str) -> CacheEntry {
     let ir = suite::generate(name).ir;
     let out = Engine::new(Pipeline::auto(), Target::FaultTolerant)
-        .compile(&ir)
+        .compile_with(&ir, None, None)
         .expect("suite benchmark compiles");
     CacheEntry {
         compiled: out.compiled,
@@ -316,7 +316,7 @@ fn without_cache_skips_key_derivation_and_never_hits() {
         .map(|i| CompileJob::named(format!("step-{i}"), ir.clone()))
         .collect();
 
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .without_cache()
         .with_threads(1);
     for r in engine.compile_all(jobs) {
@@ -324,6 +324,6 @@ fn without_cache_skips_key_derivation_and_never_hits() {
         assert!(!out.report.cache_hit);
         assert_eq!(out.report.key, 0, "uncached compiles skip fingerprinting");
     }
-    let stats = engine.engine().cache_stats();
+    let stats = engine.cache_stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
 }

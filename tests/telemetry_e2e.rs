@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ph_engine::{BatchEngine, Collector, CompileJob, Pipeline, Target, Telemetry};
+use ph_engine::{Collector, CompileJob, Engine, Pipeline, Target, Telemetry};
 use ph_telemetry::{Event, EventKind};
 use workloads::suite;
 
@@ -23,12 +23,12 @@ fn run_batch() -> (Arc<Collector>, ph_engine::CacheStats) {
         CompileJob::named("a-again", ir_a), // identical → cache hit
     ];
     let collector = Arc::new(Collector::new());
-    let engine = BatchEngine::new(Pipeline::auto(), Target::FaultTolerant)
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .with_threads(1) // deterministic hit pattern
         .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
     let results = engine.compile_all(jobs);
     assert!(results.iter().all(|r| r.outcome.is_ok()));
-    let stats = engine.engine().cache_stats();
+    let stats = engine.cache_stats();
     (collector, stats)
 }
 
