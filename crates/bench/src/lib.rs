@@ -71,7 +71,7 @@ fn class_target(class: BackendClass, device: &CouplingMap) -> Target {
 }
 
 /// Runs the Paulihedral flow: schedule + block-wise synthesis through the
-/// `ph_engine` pass manager, then a generic clean-up stage (the paper's
+/// `ph_engine` engine, then a generic clean-up stage (the paper's
 /// `PH+Qiskit_L3` / `PH+tket_O2`). The cache is disabled so `stage1` is a
 /// real compile-time measurement on every call.
 pub fn ph_flow(

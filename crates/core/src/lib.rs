@@ -27,6 +27,10 @@
 //! assert!(out.circuit.stats().cnot <= 8);
 //! # Ok::<(), paulihedral::parse::ParseError>(())
 //! ```
+//!
+//! [`compile_observed`] is the one place the stages run; [`compile`] and
+//! [`try_compile`] call it without an [`Observer`], and the `ph_engine`
+//! cache and telemetry call it with one that times and records each stage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +44,7 @@ pub mod synth;
 pub mod trotter;
 
 use pauli::PauliString;
+use qcircuit::peephole::{self, PeepholeReport};
 use qcircuit::Circuit;
 use qdevice::{CouplingMap, NoiseModel};
 
@@ -120,8 +125,9 @@ impl<'a> CompileOptions<'a> {
 
 /// Why a compilation request was rejected up front.
 ///
-/// Produced by [`try_compile`] (and the `ph_engine` pass manager built on
-/// top of it) instead of the panics [`compile`] raises.
+/// Produced by [`compile_observed`] and [`try_compile`] — and so by every
+/// `ph_engine` compile, which runs [`compile_observed`] — instead of the
+/// panics [`compile`] raises.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CompileError {
     /// The program has no blocks — there is nothing to schedule.
@@ -234,39 +240,123 @@ pub fn validate(ir: &PauliIR, backend: &Backend<'_>) -> Result<(), CompileError>
     Ok(())
 }
 
-/// Compiles a Pauli IR program: scheduling followed by block-wise
-/// backend synthesis and a peephole clean-up.
+/// What a stage of [`compile_observed`] produced, handed to
+/// [`Observer::after_stage`].
+#[derive(Clone, Copy, Debug)]
+pub enum StageOutput<'a> {
+    /// `schedule` ran this scheduler ([`Scheduler::Auto`] resolved) and
+    /// produced this many layers.
+    Scheduled(Scheduler, usize),
+    /// `synthesis` emitted this many `(string, θ)` rotations into the
+    /// circuit.
+    Synthesized(usize, &'a Circuit),
+    /// `peephole` cleaned the circuit up as the report says.
+    Optimized(PeepholeReport, &'a Circuit),
+}
+
+/// Watches a compilation from outside, so an embedding layer (the
+/// `ph_engine` cache and telemetry) can time and record it without
+/// `paulihedral` knowing about either. Every method defaults to a
+/// pass-through; `Sync` because [`Observer::shard`] runs on synthesis
+/// worker threads.
+pub trait Observer: Sync {
+    /// Runs the stage `name` (`schedule`, `synthesis` or `peephole`),
+    /// optionally bracketed by instrumentation. Implementations must call
+    /// `run` exactly once, on the calling thread.
+    fn stage(&self, _name: &'static str, run: &mut dyn FnMut()) {
+        run();
+    }
+
+    /// Receives what the stage just run by [`Observer::stage`] produced.
+    fn after_stage(&self, _output: StageOutput<'_>) {}
+
+    /// Runs one shard of the parallel synthesis region `region` (e.g.
+    /// `ft.junctions`). Implementations must call `work` exactly once;
+    /// they run on the shard's worker thread.
+    fn shard(&self, _region: &str, _shard: usize, work: &mut dyn FnMut()) {
+        work();
+    }
+}
+
+/// The observer of an unobserved compile.
+struct Unobserved;
+
+impl Observer for Unobserved {}
+
+/// Compiles a Pauli IR program — validation, then the stages `schedule`,
+/// block-wise backend `synthesis` and `peephole` clean-up — reporting each
+/// stage and each parallel synthesis shard to `observer`.
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] for an empty program or for an SC device
+/// that is disconnected or smaller than the program.
+pub fn compile_observed(
+    ir: &PauliIR,
+    options: &CompileOptions<'_>,
+    observer: Option<&dyn Observer>,
+) -> Result<Compiled, CompileError> {
+    validate(ir, &options.backend)?;
+    let mut intra = synth::par::Intra::new(options.intra_threads);
+    if let Some(o) = observer {
+        intra = intra.with_observer(o);
+    }
+    let observer = observer.unwrap_or(&Unobserved);
+
+    let mut scheduler = options.scheduler;
+    let mut layers = Vec::new();
+    observer.stage("schedule", &mut || {
+        scheduler = scheduler.resolve(ir);
+        layers = run_scheduler(ir, scheduler);
+    });
+    observer.after_stage(StageOutput::Scheduled(scheduler, layers.len()));
+
+    let n = ir.num_qubits();
+    let mut synthesized = None;
+    observer.stage("synthesis", &mut || {
+        synthesized = Some(match options.backend {
+            Backend::FaultTolerant => {
+                let r = synth::ft::synthesize(n, &layers, intra);
+                Compiled {
+                    circuit: r.circuit,
+                    emitted: r.emitted,
+                    initial_l2p: None,
+                    final_l2p: None,
+                }
+            }
+            Backend::Superconducting { device, noise } => {
+                let r = synth::sc::synthesize(n, &layers, device, noise, intra);
+                Compiled {
+                    circuit: r.circuit,
+                    emitted: r.emitted,
+                    initial_l2p: Some(r.initial_l2p),
+                    final_l2p: Some(r.final_l2p),
+                }
+            }
+        });
+    });
+    let mut compiled = synthesized.expect("the synthesis stage ran");
+    observer.after_stage(StageOutput::Synthesized(
+        compiled.emitted.len(),
+        &compiled.circuit,
+    ));
+
+    let mut report = PeepholeReport::default();
+    observer.stage("peephole", &mut || {
+        report = peephole::optimize(&mut compiled.circuit);
+    });
+    observer.after_stage(StageOutput::Optimized(report, &compiled.circuit));
+    Ok(compiled)
+}
+
+/// Compiles a Pauli IR program: [`compile_observed`] with no observer.
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] for an empty program or for an SC device
 /// that is disconnected or smaller than the program.
 pub fn try_compile(ir: &PauliIR, options: &CompileOptions<'_>) -> Result<Compiled, CompileError> {
-    validate(ir, &options.backend)?;
-    let layers = run_scheduler(ir, options.scheduler);
-    let intra = synth::par::Intra::new(options.intra_threads);
-    let mut compiled = match options.backend {
-        Backend::FaultTolerant => {
-            let r = synth::ft::synthesize(ir.num_qubits(), &layers, intra);
-            Compiled {
-                circuit: r.circuit,
-                emitted: r.emitted,
-                initial_l2p: None,
-                final_l2p: None,
-            }
-        }
-        Backend::Superconducting { device, noise } => {
-            let r = synth::sc::synthesize(ir.num_qubits(), &layers, device, noise, intra);
-            Compiled {
-                circuit: r.circuit,
-                emitted: r.emitted,
-                initial_l2p: Some(r.initial_l2p),
-                final_l2p: Some(r.final_l2p),
-            }
-        }
-    };
-    qcircuit::peephole::optimize(&mut compiled.circuit);
-    Ok(compiled)
+    compile_observed(ir, options, None)
 }
 
 /// Compiles a Pauli IR program, panicking on invalid input. Thin wrapper

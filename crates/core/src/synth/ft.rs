@@ -173,8 +173,8 @@ pub fn order_strings(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(Pauli
 }
 
 /// Synthesizes scheduled layers for the FT backend, without the final
-/// peephole clean-up (the `ph_engine` pass manager runs and instruments it
-/// as its own pass). The circuit is bit-identical for every worker count
+/// peephole clean-up ([`crate::compile_observed`] runs it as its own
+/// stage). The circuit is bit-identical for every worker count
 /// of `intra`.
 pub fn synthesize(n: usize, layers: &[Layer], intra: Intra<'_>) -> FtResult {
     let emitted = order_strings(n, layers, intra);

@@ -15,25 +15,15 @@
 //! caller's slices needs no `'static` bounds (rayon is unavailable in the
 //! offline build environment by design).
 
-/// Hook invoked around each parallel shard, so an embedding layer (the
-/// `ph_engine` pass manager) can wrap shard execution in telemetry spans
-/// without `paulihedral` depending on the telemetry crate.
-///
-/// `stage` names the parallel region (e.g. `ft.junctions`), `shard` is the
-/// chunk index within it. Implementations must call `work` exactly once;
-/// they run on the worker thread, so per-thread span parents attach to
-/// the shard's own thread in the exported trace.
-pub trait ShardObserver: Sync {
-    /// Runs one shard, optionally bracketed by instrumentation.
-    fn shard(&self, stage: &str, shard: usize, work: &mut dyn FnMut());
-}
+use crate::Observer;
 
 /// Resolved intra-compile parallelism context handed to the synthesis
-/// passes: a worker budget plus an optional [`ShardObserver`].
+/// stage: a worker budget plus an optional [`Observer`] that brackets
+/// each shard ([`Observer::shard`]).
 #[derive(Clone, Copy)]
 pub struct Intra<'a> {
     threads: usize,
-    observer: Option<&'a dyn ShardObserver>,
+    observer: Option<&'a dyn Observer>,
 }
 
 impl std::fmt::Debug for Intra<'_> {
@@ -69,8 +59,8 @@ impl<'a> Intra<'a> {
         }
     }
 
-    /// Attaches a shard observer (builder-style).
-    pub fn with_observer(mut self, observer: &'a dyn ShardObserver) -> Intra<'a> {
+    /// Attaches an observer that brackets each shard (builder-style).
+    pub fn with_observer(mut self, observer: &'a dyn Observer) -> Intra<'a> {
         self.observer = Some(observer);
         self
     }
@@ -211,7 +201,7 @@ mod tests {
     #[test]
     fn observer_sees_every_shard() {
         struct Counter(AtomicUsize);
-        impl ShardObserver for Counter {
+        impl Observer for Counter {
             fn shard(&self, stage: &str, _shard: usize, work: &mut dyn FnMut()) {
                 assert_eq!(stage, "test.stage");
                 self.0.fetch_add(1, Ordering::Relaxed);

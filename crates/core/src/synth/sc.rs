@@ -505,8 +505,8 @@ fn process_block(
 }
 
 /// Compiles scheduled layers onto a superconducting device (Alg. 3),
-/// without the final peephole clean-up (the `ph_engine` pass manager runs
-/// and instruments it as its own pass).
+/// without the final peephole clean-up ([`crate::compile_observed`] runs
+/// it as its own stage).
 ///
 /// The block emission order is inherently sequential (the layout is
 /// carried from block to block), but the argbest scans inside — layout

@@ -16,7 +16,7 @@ use paulihedral::ir::PauliIR;
 use paulihedral::{CompileError, Scheduler};
 
 use crate::engine::{Engine, EngineOutput};
-use crate::pass::Target;
+use crate::target::Target;
 
 /// One unit of batch work.
 #[derive(Clone, Debug)]

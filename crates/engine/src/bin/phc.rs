@@ -1,5 +1,5 @@
 //! `phc` — the Paulihedral command-line compiler, driven by the
-//! `ph_engine` pass manager.
+//! `ph_engine` engine.
 //!
 //! Single-program mode (prints cost metrics, optionally OpenQASM 2.0):
 //!
@@ -376,7 +376,7 @@ fn run_batch(args: &[String]) -> Result<(), String> {
     for r in &results {
         match &r.outcome {
             Ok(o) => {
-                let stats = o.compiled.circuit.mapped_stats();
+                let stats = o.report.final_stats();
                 eprintln!(
                     "{}: CNOT {}, single {}, depth {}{}",
                     r.name,
@@ -684,7 +684,7 @@ fn run_single(args: &[String]) -> Result<(), String> {
     let out = engine
         .compile_with(&ir, None, None)
         .map_err(|e| e.to_string())?;
-    let stats = out.compiled.circuit.mapped_stats();
+    let stats = out.report.final_stats();
     println!(
         // `Auto` resolves per program — print the scheduler that actually ran.
         "scheduler={:?} backend={} : CNOT {}, single {}, total {}, depth {}",

@@ -1,24 +1,28 @@
 //! The engine and its one compile path: validate → cache lookup →
-//! pipeline → cache fill, with full per-pass instrumentation. Direct
-//! compiles, batches ([`crate::batch`]) and the compile service
-//! ([`crate::serve`]) all run it.
+//! [`paulihedral::compile_observed`] → cache fill, with every stage timed
+//! and recorded. Direct compiles, batches ([`crate::batch`]) and the
+//! compile service ([`crate::serve`]) all run it.
 
 use std::num::NonZeroUsize;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use paulihedral::ir::PauliIR;
-use paulihedral::synth::par::{Intra, ShardObserver};
-use paulihedral::{validate, CompileError, Compiled, Scheduler};
+use paulihedral::{
+    compile_observed, validate, CompileError, CompileOptions, Compiled, Observer, Scheduler,
+    StageOutput,
+};
 use ph_telemetry::Telemetry;
+use qcircuit::CircuitStats;
 
 use crate::cache::{
-    fingerprint_ir, CacheConfig, CacheEntry, CacheOutcome, CacheStats, CompileCache, Fingerprint,
+    fingerprint_ir, relock, CacheConfig, CacheEntry, CacheOutcome, CacheStats, CompileCache,
+    Fingerprint,
 };
 use crate::fault::{Fault, WorkerFault};
-use crate::pass::{PassContext, Target};
 use crate::pipeline::Pipeline;
+use crate::proto::scheduler_spec;
 use crate::report::{CompileReport, PassRecord};
-use crate::unit::CompileUnit;
+use crate::target::Target;
 
 /// What one compilation returns: the (shared) artifact and its report.
 #[derive(Clone, Debug)]
@@ -54,20 +58,65 @@ fn cpus() -> usize {
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Wraps each parallel synthesis shard in a `shard:<stage>` telemetry
-/// span. Shards run on scoped worker threads with fresh span stacks, so
-/// each shard shows up as a per-thread row in the exported trace.
-struct ShardSpans<'t> {
+/// The engine's observer of one compile: each stage runs inside a span
+/// of its name, is timed into `pass.<name>_ns`, and becomes a
+/// [`PassRecord`] whose snapshots are mapped circuit stats; each parallel
+/// synthesis shard runs inside a `shard:<region>` span (a per-thread row
+/// in the exported trace).
+struct Recorder<'t> {
     telemetry: &'t Telemetry,
+    passes: Mutex<Vec<PassRecord>>,
 }
 
-impl ShardObserver for ShardSpans<'_> {
-    fn shard(&self, stage: &str, shard: usize, work: &mut dyn FnMut()) {
-        let span = self
+impl Observer for Recorder<'_> {
+    fn stage(&self, name: &'static str, run: &mut dyn FnMut()) {
+        // The stage span is also the stage timer.
+        let span = self.telemetry.span(name);
+        run();
+        let wall = span.finish();
+        self.telemetry
+            .record_duration(&format!("pass.{name}_ns"), wall);
+        let mut passes = relock(&self.passes);
+        let before = passes
+            .last()
+            .map_or_else(CircuitStats::default, |p| p.after);
+        passes.push(PassRecord {
+            name: name.to_string(),
+            wall,
+            before,
+            after: before,
+            note: String::new(),
+        });
+    }
+
+    fn after_stage(&self, output: StageOutput<'_>) {
+        let (note, circuit) = match output {
+            StageOutput::Scheduled(scheduler, layers) => (
+                format!("{} -> {layers} layers", scheduler_spec(scheduler)),
+                None,
+            ),
+            StageOutput::Synthesized(emitted, c) => (format!("{emitted} strings emitted"), Some(c)),
+            StageOutput::Optimized(r, c) => (
+                format!(
+                    "cancelled {}, merged {}, zeroed {}, {} rounds",
+                    r.cancelled, r.merged, r.zero_rotations, r.rounds
+                ),
+                Some(c),
+            ),
+        };
+        let mut passes = relock(&self.passes);
+        let record = passes.last_mut().expect("after_stage follows a stage");
+        record.note = note;
+        if let Some(c) = circuit {
+            record.after = c.mapped_stats();
+        }
+    }
+
+    fn shard(&self, region: &str, shard: usize, work: &mut dyn FnMut()) {
+        let _span = self
             .telemetry
-            .span_with(format!("shard:{stage}"), vec![("shard", shard.into())]);
+            .span_with(format!("shard:{region}"), vec![("shard", shard.into())]);
         work();
-        drop(span);
     }
 }
 
@@ -106,7 +155,7 @@ impl Engine {
         self.threads.min(jobs)
     }
 
-    /// Sets the intra-compile worker knob for the synthesis pass: `1` (the
+    /// Sets the intra-compile worker knob for the synthesis stage: `1` (the
     /// default) keeps synthesis sequential, `0` asks for one worker per
     /// available CPU; [`Engine::intra_budget`] clamps it to the machine.
     /// Purely a wall-clock knob — the artifact is bit-identical for every
@@ -160,7 +209,7 @@ impl Engine {
     }
 
     /// Attaches a telemetry handle: one span per request (`compile`) and
-    /// per pass (the pass's name), cache events on the shared cache, and
+    /// per stage (the stage's name), cache events on the shared cache, and
     /// latency histograms (`compile.total_ns`, `pass.<name>_ns`).
     /// [`Engine::compile_all`] adds one `batch` span per batch, one
     /// `job:<name>` span per job (queue wait in its args), and the
@@ -187,16 +236,6 @@ impl Engine {
         self
     }
 
-    /// The engine's pipeline.
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
-    }
-
-    /// The engine's default target.
-    pub fn target(&self) -> &Target {
-        &self.target
-    }
-
     /// Cache hit/miss/eviction/byte counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -215,11 +254,12 @@ impl Engine {
     /// caller runs the pipeline while the rest wait and share its `Arc`
     /// (counted in [`CacheStats::coalesced`]).
     ///
-    /// Panic-isolating: a panicking pass (or a bug anywhere under the
-    /// compile path) is returned as [`CompileError::Panicked`] instead of
-    /// unwinding into the caller, so one bad job cannot tear down a batch
-    /// or service worker. The single-flight cache treats a leader's
-    /// unwind as a retryable failure, so coalesced waiters are unaffected.
+    /// Panic-isolating: a panic anywhere under the compile path (a
+    /// compiler bug, or an injected [`crate::fault`] worker panic) is
+    /// returned as [`CompileError::Panicked`] instead of unwinding into
+    /// the caller, so one bad job cannot tear down a batch or service
+    /// worker. The single-flight cache treats a leader's unwind as a
+    /// retryable failure, so coalesced waiters are unaffected.
     ///
     /// # Errors
     ///
@@ -266,41 +306,36 @@ impl Engine {
         // from poisoning, so observing post-panic state is sound.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // The worker fault seam sits at the very top of the compile
-            // path: an injected panic unwinds exactly like an organic pass
-            // bug would, and an injected delay models a slow compile
-            // without touching the passes.
+            // path: an injected panic unwinds exactly like an organic
+            // compiler bug would, and an injected delay models a slow
+            // compile without touching the compiler.
             match self.fault.worker() {
                 WorkerFault::Panic => panic!("injected fault: worker panic"),
-                WorkerFault::Delay(d) => std::thread::sleep(d),
+                WorkerFault::Delay(d) => self.fault.sleep(d),
                 WorkerFault::None => {}
             }
             // The request span both traces the compile and is its timer:
             // its wall time becomes `CompileReport::total`.
             let span = self.telemetry.span("compile");
             let target = target.unwrap_or(&self.target);
+            // Rejected before keying, so a bad request never reaches the
+            // cache (core validates again on a miss).
             validate(ir, &target.as_backend())?;
-            let observer = ShardSpans {
-                telemetry: &self.telemetry,
-            };
-            let mut intra = Intra::new(intra_budget);
-            if self.telemetry.is_enabled() {
-                intra = intra.with_observer(&observer);
-            }
-            let ctx = PassContext {
-                target,
-                scheduler_override: scheduler,
-                intra,
+            let options = CompileOptions {
+                scheduler: scheduler.unwrap_or(self.pipeline.scheduler()),
+                backend: target.as_backend(),
+                intra_threads: intra_budget,
             };
             // No cache ⇒ no reason to pay IR fingerprinting on every
             // request; benchmark flows measure pure compile time.
             let (entry, cache_hit) = if self.cache_enabled {
-                let key = self.request_key(ir, &ctx);
+                let key = self.request_key(ir, target, scheduler);
                 let (entry, outcome) = self
                     .cache
-                    .get_or_compute(key, || self.execute(ir, &ctx, key))?;
+                    .get_or_compute(key, || self.execute(ir, &options, key))?;
                 (entry, outcome != CacheOutcome::Compiled)
             } else {
-                (self.execute(ir, &ctx, 0)?, false)
+                (self.execute(ir, &options, 0)?, false)
             };
             let mut report = entry.report;
             report.cache_hit = cache_hit;
@@ -317,37 +352,27 @@ impl Engine {
         .unwrap_or_else(|payload| Err(CompileError::Panicked(panic_message(payload.as_ref()))))
     }
 
-    /// Runs the pipeline over a fresh unit (the cache-miss path).
+    /// Compiles under the engine's observer (the cache-miss path).
     fn execute(
         &self,
         ir: &PauliIR,
-        ctx: &PassContext<'_>,
+        options: &CompileOptions<'_>,
         key: u64,
     ) -> Result<CacheEntry, CompileError> {
         let span = self.telemetry.span("pipeline");
-        let mut unit = CompileUnit::new(ir.clone());
-        let mut records: Vec<PassRecord> = Vec::with_capacity(self.pipeline.passes().len());
-        for pass in self.pipeline.passes() {
-            let before = unit.stats();
-            // The pass span is also the pass timer (a failing pass still
-            // records its end event when the guard drops).
-            let pass_span = self.telemetry.span(pass.name());
-            let note = pass.run(&mut unit, ctx)?;
-            let wall = pass_span.finish();
-            self.telemetry
-                .record_duration(&format!("pass.{}_ns", pass.name()), wall);
-            records.push(PassRecord {
-                name: pass.name().to_string(),
-                wall,
-                before,
-                after: unit.stats(),
-                note,
-            });
-        }
+        let recorder = Recorder {
+            telemetry: &self.telemetry,
+            passes: Mutex::new(Vec::with_capacity(3)),
+        };
+        let compiled = compile_observed(ir, options, Some(&recorder))?;
+        let passes = recorder
+            .passes
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner());
         Ok(CacheEntry {
-            compiled: Arc::new(unit.into_compiled()),
+            compiled: Arc::new(compiled),
             report: CompileReport {
-                passes: records,
+                passes,
                 total: span.finish(),
                 cache_hit: false,
                 key,
@@ -356,12 +381,13 @@ impl Engine {
     }
 
     /// The content-addressed key of a request: canonical hashes of the IR,
-    /// the pipeline signature (with overrides applied), and the target.
-    fn request_key(&self, ir: &PauliIR, ctx: &PassContext<'_>) -> u64 {
+    /// the pipeline signature (with the scheduler override applied), and
+    /// the target.
+    fn request_key(&self, ir: &PauliIR, target: &Target, scheduler: Option<Scheduler>) -> u64 {
         let mut h = Fingerprint::new();
         fingerprint_ir(ir, &mut h);
-        h.write_str(&self.pipeline.signature(ctx));
-        ctx.target.fingerprint(&mut h);
+        h.write_str(&self.pipeline.signature(scheduler));
+        target.fingerprint(&mut h);
         h.finish()
     }
 }

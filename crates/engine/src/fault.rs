@@ -23,7 +23,7 @@
 
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::cache::relock;
@@ -264,6 +264,9 @@ struct FaultInner {
     /// `false` pauses injection without discarding the handle — tests use
     /// this to let a degraded disk tier heal on its re-probe.
     active: AtomicBool,
+    /// Injected delays wait on this condvar, so [`Fault::pause`] can end
+    /// them early.
+    sleepers: (Mutex<()>, Condvar),
     disk: Mutex<Stream>,
     worker: Mutex<Stream>,
     conn: Mutex<Stream>,
@@ -310,6 +313,7 @@ impl Fault {
         let stream = |salt: u64| Mutex::new(Stream(plan.seed ^ salt));
         Fault(Some(Arc::new(FaultInner {
             active: AtomicBool::new(true),
+            sleepers: (Mutex::new(()), Condvar::new()),
             disk: stream(0xd15c_d15c_d15c_d15c),
             worker: stream(0x3033_7c0d_e5a1_7b0b),
             conn: stream(0xc022_c022_c022_c022),
@@ -323,10 +327,15 @@ impl Fault {
         self.0.is_some()
     }
 
-    /// Pauses injection (the handle survives; decision streams freeze).
+    /// Pauses injection (the handle survives; decision streams freeze)
+    /// and ends every injected delay or stall still in flight.
     pub fn pause(&self) {
         if let Some(inner) = &self.0 {
             inner.active.store(false, Ordering::SeqCst);
+            // Taking the lock orders this store before any sleeper's next
+            // check, so no sleeper misses the wake-up.
+            let _sleepers = relock(&inner.sleepers.0);
+            inner.sleepers.1.notify_all();
         }
     }
 
@@ -335,6 +344,16 @@ impl Fault {
         if let Some(inner) = &self.0 {
             inner.active.store(true, Ordering::SeqCst);
         }
+    }
+
+    /// Waits out an injected delay or stall of `d`, returning early once
+    /// the handle is paused.
+    pub(crate) fn sleep(&self, d: Duration) {
+        let Some(inner) = &self.0 else {
+            return std::thread::sleep(d);
+        };
+        let (lock, cv) = &inner.sleepers;
+        let _ = cv.wait_timeout_while(relock(lock), d, |()| inner.active.load(Ordering::SeqCst));
     }
 
     /// Counts of faults injected so far.
@@ -606,6 +625,39 @@ mod tests {
         assert!(fault.is_enabled(), "paused is still enabled");
         fault.resume();
         assert_eq!(fault.worker(), WorkerFault::Panic);
+    }
+
+    #[test]
+    fn pause_ends_an_injected_delay_in_flight() {
+        use std::time::Instant;
+
+        use crate::{Engine, Pipeline, Target};
+
+        let fault = Fault::seeded(
+            FaultPlan::parse("seed=1,worker.delay=1.0,worker.delay_ms=60000").unwrap(),
+        );
+        let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant).with_fault(fault.clone());
+        let ir = paulihedral::parse::parse_program("{(ZZY, 0.5), 1.0};").unwrap();
+        std::thread::scope(|scope| {
+            let compile = scope.spawn(|| engine.compile_with(&ir, None, None));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while fault.counters().worker_delays == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the compile never entered the delay"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let paused = Instant::now();
+            fault.pause();
+            let out = compile.join().expect("compile thread");
+            assert!(out.is_ok(), "{out:?}");
+            assert!(
+                paused.elapsed() < Duration::from_secs(5),
+                "pause left the 60 s delay running for {:?}",
+                paused.elapsed()
+            );
+        });
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! The Paulihedral compilation engine: an explicit pass manager, a
+//! The Paulihedral compilation engine: per-stage instrumentation, a
 //! content-addressed compilation cache, and a multi-threaded batch driver.
 //!
-//! The core crate exposes the one-shot [`paulihedral::compile`]; this crate
-//! wraps the same scheduling/synthesis machinery in the driver subsystem a
-//! serving deployment needs:
+//! The core crate runs the compiler's stages in one place,
+//! [`paulihedral::compile_observed`]; this crate wraps that call in the
+//! driver subsystem a serving deployment needs:
 //!
-//! 1. **Pass manager** ([`pass`], [`pipeline`]): compilation is a
-//!    [`Pipeline`] of [`Pass`]es over a [`CompileUnit`] (Pauli IR → layers
-//!    → circuit). Each pass is individually timed and its circuit-metric
-//!    deltas recorded into a [`CompileReport`] — the §7 "adaptive pass
-//!    management" sketch made concrete.
+//! 1. **Instrumented stages** ([`pipeline`], [`report`]): a [`Pipeline`]
+//!    names the scheduler (fixed, or chosen per program by the §7
+//!    heuristic) and signs the cache key. The engine observes each stage
+//!    core runs — schedule, synthesis, peephole — timing it and recording
+//!    its mapped CNOT / single-qubit / depth deltas into a
+//!    [`CompileReport`].
 //! 2. **Compilation cache** ([`cache`]): results are keyed by a canonical
 //!    FNV-1a fingerprint of (IR, pipeline configuration, target), so
 //!    repeated Trotter steps and re-compiled suite benchmarks are served
@@ -39,7 +40,7 @@
 //!    compiles into typed `watchdog_timeout` answers.
 //! 6. **Telemetry** ([`ph_telemetry`], attached via
 //!    [`Engine::with_telemetry`]): spans
-//!    for every batch, job, request, and pass; cache events mirroring the
+//!    for every batch, job, request, and stage; cache events mirroring the
 //!    [`CacheStats`] counters; and latency histograms — exportable as a
 //!    JSONL stream or a Chrome/Perfetto trace. The default sink is a
 //!    no-op, so uninstrumented compiles pay effectively nothing.
@@ -74,13 +75,12 @@ pub mod cache;
 pub mod client;
 pub mod engine;
 pub mod fault;
-pub mod pass;
 pub mod persist;
 pub mod pipeline;
 pub mod proto;
 pub mod report;
 pub mod serve;
-pub mod unit;
+pub mod target;
 
 /// The workspace's one JSON writer and parser (escaping, value rendering,
 /// and recursive-descent reading for the wire protocol), shared by the
@@ -96,10 +96,9 @@ pub use cache::{CacheConfig, CacheOutcome, CacheStats, CompileCache};
 pub use client::{Client, ClientConfig, ClientError, ClientStats, Connection};
 pub use engine::{Engine, EngineOutput};
 pub use fault::{Fault, FaultCounters, FaultPlan};
-pub use pass::{Pass, PassContext, PeepholePass, SchedulePass, SynthesisPass, Target};
 pub use ph_telemetry::{Collector, MetricsSnapshot, Telemetry};
-pub use pipeline::{Pipeline, PipelineBuilder};
+pub use pipeline::Pipeline;
 pub use proto::{CompileRequest, Request};
 pub use report::{CompileReport, PassRecord};
 pub use serve::{ServeConfig, ServeStats, Server, ServerHandle};
-pub use unit::CompileUnit;
+pub use target::Target;

@@ -6,7 +6,7 @@
 //! malformed input returns [`DecodeError`] instead of panicking, because
 //! the cache treats corrupt or truncated files as misses.
 //!
-//! Layout (version 1):
+//! Layout (version 2; version 1 stored raw rather than mapped pass stats):
 //!
 //! ```text
 //! "PHCE" u16(version)
@@ -36,7 +36,7 @@ use crate::cache::CacheEntry;
 use crate::report::{CompileReport, PassRecord};
 
 const MAGIC: &[u8; 4] = b"PHCE";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 /// Why a persisted entry could not be decoded. The cache only cares that
 /// it failed (corrupt file ⇒ miss); the variants exist for diagnostics

@@ -1,27 +1,21 @@
-//! Composing passes into pipelines.
-
-use std::sync::Arc;
+//! The compile configuration an engine runs and keys its cache on.
 
 use paulihedral::Scheduler;
 
-use crate::pass::{Pass, PassContext, PeepholePass, SchedulePass, SynthesisPass};
+use crate::proto::scheduler_spec;
 
-/// An ordered sequence of [`Pass`]es, shared (cheaply cloned) across batch
-/// worker threads.
-#[derive(Clone)]
+/// The stage sequence of [`paulihedral::compile_observed`] — schedule,
+/// synthesis, peephole — under a configured scheduler. Reproduces
+/// [`paulihedral::compile`] exactly.
+#[derive(Clone, Copy, Debug)]
 pub struct Pipeline {
-    passes: Vec<Arc<dyn Pass>>,
+    scheduler: Scheduler,
 }
 
 impl Pipeline {
-    /// The standard three-pass pipeline — schedule, synthesize, peephole —
-    /// which reproduces [`paulihedral::compile`] exactly.
+    /// The standard pipeline with a fixed scheduler.
     pub fn standard(scheduler: Scheduler) -> Pipeline {
-        Pipeline::builder()
-            .schedule(scheduler)
-            .synthesize()
-            .peephole()
-            .build()
+        Pipeline { scheduler }
     }
 
     /// The standard pipeline with adaptive (§7) scheduler selection.
@@ -29,62 +23,19 @@ impl Pipeline {
         Pipeline::standard(Scheduler::Auto)
     }
 
-    /// An empty builder for custom pipelines.
-    pub fn builder() -> PipelineBuilder {
-        PipelineBuilder { passes: Vec::new() }
+    /// The configured scheduler (a request's override wins over it).
+    pub fn scheduler(&self) -> Scheduler {
+        self.scheduler
     }
 
-    /// The passes, in execution order.
-    pub fn passes(&self) -> &[Arc<dyn Pass>] {
-        &self.passes
-    }
-
-    /// The cache signature of this pipeline under `ctx`: the `|`-joined
-    /// pass signatures. Part of the content-addressed cache key.
-    pub fn signature(&self, ctx: &PassContext<'_>) -> String {
-        let sigs: Vec<String> = self.passes.iter().map(|p| p.signature(ctx)).collect();
-        sigs.join("|")
-    }
-}
-
-impl std::fmt::Debug for Pipeline {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = self.passes.iter().map(|p| p.name()).collect();
-        f.debug_struct("Pipeline").field("passes", &names).finish()
-    }
-}
-
-/// Builds a [`Pipeline`] pass by pass.
-pub struct PipelineBuilder {
-    passes: Vec<Arc<dyn Pass>>,
-}
-
-impl PipelineBuilder {
-    /// Appends a scheduling pass.
-    pub fn schedule(self, scheduler: Scheduler) -> PipelineBuilder {
-        self.pass(SchedulePass { scheduler })
-    }
-
-    /// Appends the block-wise synthesis pass.
-    pub fn synthesize(self) -> PipelineBuilder {
-        self.pass(SynthesisPass)
-    }
-
-    /// Appends the commutation-aware peephole clean-up.
-    pub fn peephole(self) -> PipelineBuilder {
-        self.pass(PeepholePass)
-    }
-
-    /// Appends an arbitrary custom pass.
-    pub fn pass(mut self, pass: impl Pass + 'static) -> PipelineBuilder {
-        self.passes.push(Arc::new(pass));
-        self
-    }
-
-    /// Finishes the pipeline.
-    pub fn build(self) -> Pipeline {
-        Pipeline {
-            passes: self.passes,
-        }
+    /// The cache signature of this pipeline under an optional scheduler
+    /// override: `schedule:<spec>|synthesis|peephole`. Part of the
+    /// content-addressed cache key. `auto` is a sound tag: it resolves as
+    /// a pure function of the IR, which the key hashes alongside.
+    pub fn signature(&self, scheduler_override: Option<Scheduler>) -> String {
+        format!(
+            "schedule:{}|synthesis|peephole",
+            scheduler_spec(scheduler_override.unwrap_or(self.scheduler))
+        )
     }
 }

@@ -229,7 +229,7 @@ pub fn job_json(
 ) -> Json {
     match outcome {
         Ok(o) => {
-            let stats = o.compiled.circuit.mapped_stats();
+            let stats = o.report.final_stats();
             let passes: Vec<Json> = o
                 .report
                 .passes

@@ -6,7 +6,9 @@ use std::time::Duration;
 use qcircuit::CircuitStats;
 
 /// One pass's instrumentation: wall time plus circuit-metric snapshots
-/// taken immediately before and after the pass ran.
+/// taken immediately before and after the pass ran. Snapshots are mapped
+/// metrics ([`qcircuit::Circuit::mapped_stats`]): on SC targets a SWAP
+/// counts as three CNOTs, as in every other count the engine reports.
 #[derive(Clone, Debug)]
 pub struct PassRecord {
     /// Pass display name.
@@ -61,7 +63,8 @@ pub struct CompileReport {
 }
 
 impl CompileReport {
-    /// Final circuit metrics (the `after` snapshot of the last pass).
+    /// Final mapped circuit metrics (the `after` snapshot of the last
+    /// pass) — what `phc` and the wire report print.
     pub fn final_stats(&self) -> CircuitStats {
         self.passes.last().map(|p| p.after).unwrap_or_default()
     }

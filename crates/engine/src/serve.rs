@@ -60,9 +60,9 @@ use ph_telemetry::json::Json;
 use crate::cache::{relock, CacheEntry};
 use crate::engine::Engine;
 use crate::fault::{ConnFault, Fault};
-use crate::pass::Target;
 use crate::persist;
 use crate::proto::{self, CompileRequest, Request};
+use crate::target::Target;
 
 /// Tunables of a [`Server`].
 #[derive(Clone, Debug)]
@@ -185,7 +185,7 @@ impl Conn {
                 self.close();
                 return;
             }
-            ConnFault::Stall(d) => thread::sleep(d),
+            ConnFault::Stall(d) => self.fault.sleep(d),
             ConnFault::None => {}
         }
         let mut stream = relock(&self.writer);

@@ -16,17 +16,15 @@
 //!   memory-only after the error threshold and is re-probed back to
 //!   health once reads succeed again.
 
-use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use paulihedral::parse::{parse_program, print_program};
-use paulihedral::{CompileError, Scheduler};
 use ph_engine::json::Json;
 use ph_engine::proto::{self, CompileRequest, Request};
 use ph_engine::{
-    CacheConfig, Client, ClientConfig, CompileUnit, Connection, Engine, Fault, FaultPlan, Pass,
-    PassContext, Pipeline, ServeConfig, Server, Target,
+    CacheConfig, Client, ClientConfig, Connection, Engine, Fault, FaultPlan, Pipeline, ServeConfig,
+    Server, Target,
 };
 use workloads::suite::{self, BackendClass};
 
@@ -73,55 +71,12 @@ fn compile_req(id: u64, ir: &str) -> CompileRequest {
     }
 }
 
-/// A pass that blocks every compile until released — the stuck-job lever
-/// for the watchdog and dead-connection tests.
-#[derive(Clone, Default)]
-struct GatePass {
-    entered: Arc<(Mutex<usize>, Condvar)>,
-    release: Arc<(Mutex<bool>, Condvar)>,
-}
-
-impl GatePass {
-    fn entered(&self) -> usize {
-        *self.entered.0.lock().unwrap()
-    }
-
-    fn open(&self) {
-        *self.release.0.lock().unwrap() = true;
-        self.release.1.notify_all();
-    }
-}
-
-impl Pass for GatePass {
-    fn name(&self) -> &'static str {
-        "gate"
-    }
-
-    fn signature(&self, _ctx: &PassContext<'_>) -> String {
-        "gate".into()
-    }
-
-    fn run(&self, _unit: &mut CompileUnit, _ctx: &PassContext<'_>) -> Result<String, CompileError> {
-        {
-            let (count, cv) = &*self.entered;
-            *count.lock().unwrap() += 1;
-            cv.notify_all();
-        }
-        let (released, cv) = &*self.release;
-        let mut open = released.lock().unwrap();
-        while !*open {
-            open = cv.wait(open).unwrap();
-        }
-        Ok(String::new())
-    }
-}
-
-fn gated_pipeline(gate: &GatePass) -> Pipeline {
-    Pipeline::builder()
-        .pass(gate.clone())
-        .schedule(Scheduler::Auto)
-        .synthesize()
-        .build()
+/// A fault plan that holds every compile in a minute-long injected delay
+/// until the test calls [`Fault::pause`] — the stuck-job lever for the
+/// watchdog and dead-connection tests. A compile has entered the gate
+/// once `worker_delays` counts it.
+fn gate() -> Fault {
+    Fault::seeded(FaultPlan::parse("seed=1,worker.delay=1.0,worker.delay_ms=60000").unwrap())
 }
 
 fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
@@ -360,10 +315,11 @@ fn client_retries_through_dropped_connections() {
 /// every worker wedged.
 #[test]
 fn watchdog_times_out_stuck_jobs_and_drain_still_completes() {
-    let gate = GatePass::default();
-    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant)
+    let gate = gate();
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .without_cache()
-        .with_threads(1);
+        .with_threads(1)
+        .with_fault(gate.clone());
     let config = ServeConfig {
         watchdog: Some(Duration::from_millis(100)),
         ..ServeConfig::default()
@@ -418,7 +374,7 @@ fn watchdog_times_out_stuck_jobs_and_drain_still_completes() {
     assert_eq!(final_stats.completed, 0);
 
     // Unwedge the blocked threads so they exit before the process does.
-    gate.open();
+    gate.pause();
 }
 
 /// A client that disconnects mid-stream gets its still-queued jobs
@@ -426,10 +382,11 @@ fn watchdog_times_out_stuck_jobs_and_drain_still_completes() {
 /// connection at the first failed write and skips the rest.
 #[test]
 fn dead_connection_cancels_queued_jobs() {
-    let gate = GatePass::default();
-    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant)
+    let gate = gate();
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .without_cache()
-        .with_threads(1);
+        .with_threads(1)
+        .with_fault(gate.clone());
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
 
     let mut client = Connection::connect(addr).expect("connect");
@@ -443,7 +400,10 @@ fn dead_connection_cancels_queued_jobs() {
             .expect("send");
     }
     // First job inside the (blocked) worker, the rest queued behind it.
-    wait_for(|| gate.entered() >= 1, "first job to enter the worker");
+    wait_for(
+        || gate.counters().worker_delays >= 1,
+        "first job to enter the worker",
+    );
     wait_for(
         || handle.queued() as u64 == JOBS - 1,
         "remaining jobs to queue",
@@ -454,7 +414,7 @@ fn dead_connection_cancels_queued_jobs() {
     // connection dead and cancels the queued jobs after it.
     drop(client);
     thread::sleep(Duration::from_millis(50));
-    gate.open();
+    gate.pause();
 
     handle.shutdown();
     let stats = runner.join().expect("server drains");

@@ -4,17 +4,17 @@
 //! panics) delivered as values without killing the server.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use paulihedral::parse::{parse_program, print_program};
-use paulihedral::{CompileError, Scheduler};
+use paulihedral::CompileError;
 use ph_engine::json::Json;
 use ph_engine::proto::{self, CompileRequest, Request};
 use ph_engine::{
-    Collector, CompileJob, CompileUnit, Connection, Engine, Pass, PassContext, Pipeline,
-    ServeConfig, ServeStats, Server, ServerHandle, Target, Telemetry,
+    Collector, CompileJob, Connection, Engine, Fault, FaultPlan, Pipeline, ServeConfig, ServeStats,
+    Server, ServerHandle, Target, Telemetry,
 };
 use ph_telemetry::{ArgValue, EventKind};
 use workloads::suite::{self, BackendClass};
@@ -79,75 +79,22 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
     }
 }
 
-/// A pass that blocks every compile until the test releases it, and counts
-/// how many compiles have entered — the lever behind the backpressure and
-/// deadline tests.
-#[derive(Clone, Default)]
-struct GatePass {
-    entered: Arc<(Mutex<usize>, Condvar)>,
-    release: Arc<(Mutex<bool>, Condvar)>,
+/// A fault plan that holds every compile in a minute-long injected delay
+/// until the test calls [`Fault::pause`] — the lever behind the
+/// backpressure and deadline tests. A compile has entered the gate once
+/// `worker_delays` counts it.
+fn gate() -> Fault {
+    Fault::seeded(FaultPlan::parse("seed=1,worker.delay=1.0,worker.delay_ms=60000").unwrap())
 }
 
-impl GatePass {
-    fn entered(&self) -> usize {
-        *self.entered.0.lock().unwrap()
-    }
-
-    fn open(&self) {
-        *self.release.0.lock().unwrap() = true;
-        self.release.1.notify_all();
-    }
+/// A fault plan that panics every compile — the server must convert
+/// this to a `panicked` report, not die.
+fn panicking() -> Fault {
+    Fault::seeded(FaultPlan::parse("seed=1,worker.panic=1.0").unwrap())
 }
 
-impl Pass for GatePass {
-    fn name(&self) -> &'static str {
-        "gate"
-    }
-
-    fn signature(&self, _ctx: &PassContext<'_>) -> String {
-        "gate".into()
-    }
-
-    fn run(&self, _unit: &mut CompileUnit, _ctx: &PassContext<'_>) -> Result<String, CompileError> {
-        {
-            let (count, cv) = &*self.entered;
-            *count.lock().unwrap() += 1;
-            cv.notify_all();
-        }
-        let (released, cv) = &*self.release;
-        let mut open = released.lock().unwrap();
-        while !*open {
-            open = cv.wait(open).unwrap();
-        }
-        Ok(String::new())
-    }
-}
-
-fn gated_pipeline(gate: &GatePass) -> Pipeline {
-    Pipeline::builder()
-        .pass(gate.clone())
-        .schedule(Scheduler::Auto)
-        .synthesize()
-        .build()
-}
-
-/// A pass that always panics — the server must convert this to a
-/// `panicked` report, not die.
-struct PanicPass;
-
-impl Pass for PanicPass {
-    fn name(&self) -> &'static str {
-        "panic"
-    }
-
-    fn signature(&self, _ctx: &PassContext<'_>) -> String {
-        "panic".into()
-    }
-
-    fn run(&self, _unit: &mut CompileUnit, _ctx: &PassContext<'_>) -> Result<String, CompileError> {
-        panic!("kaboom: injected test panic");
-    }
-}
+/// The panic message of [`panicking`] compiles.
+const INJECTED_PANIC: &str = "injected fault: worker panic";
 
 /// The tentpole acceptance test: every Table 1 benchmark compiled over the
 /// socket (with the artifact attached) is bit-identical to an in-process
@@ -318,8 +265,10 @@ fn shutdown_drains_accepted_jobs_before_exiting() {
 /// without bound, and the queued work still completes.
 #[test]
 fn full_queue_rejects_with_overloaded() {
-    let gate = GatePass::default();
-    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
+    let gate = gate();
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
+        .with_threads(1)
+        .with_fault(gate.clone());
     let config = ServeConfig {
         queue_depth: 1,
         ..ServeConfig::default()
@@ -330,7 +279,10 @@ fn full_queue_rejects_with_overloaded() {
     // Job 1 occupies the worker (blocked inside the gate), job 2 fills the
     // queue, job 3 must bounce.
     client.send(&compile_req(1, TINY_IR)).expect("send");
-    wait_for(|| gate.entered() >= 1, "worker to enter the gated compile");
+    wait_for(
+        || gate.counters().worker_delays >= 1,
+        "worker to enter the gated compile",
+    );
     client.send(&compile_req(2, TINY_IR)).expect("send");
     wait_for(|| handle.queued() == 1, "job 2 to be queued");
     client.send(&compile_req(3, TINY_IR)).expect("send");
@@ -340,7 +292,7 @@ fn full_queue_rejects_with_overloaded() {
     assert_eq!(reject.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(field_str(&reject, "error_kind"), "overloaded");
 
-    gate.open();
+    gate.pause();
     for expected_id in [1, 2] {
         let report = recv(&mut client);
         assert_eq!(field_u64(&report, "id"), expected_id);
@@ -356,13 +308,18 @@ fn full_queue_rejects_with_overloaded() {
 /// with `deadline_exceeded` instead of compiling stale work.
 #[test]
 fn queued_jobs_past_their_deadline_are_expired() {
-    let gate = GatePass::default();
-    let engine = Engine::new(gated_pipeline(&gate), Target::FaultTolerant).with_threads(1);
+    let gate = gate();
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
+        .with_threads(1)
+        .with_fault(gate.clone());
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
     client.send(&compile_req(1, TINY_IR)).expect("send");
-    wait_for(|| gate.entered() >= 1, "worker to enter the gated compile");
+    wait_for(
+        || gate.counters().worker_delays >= 1,
+        "worker to enter the gated compile",
+    );
     client
         .send(&Request::Compile(CompileRequest {
             id: 2,
@@ -376,7 +333,7 @@ fn queued_jobs_past_their_deadline_are_expired() {
         .expect("send");
     wait_for(|| handle.queued() == 1, "job 2 to be queued");
     thread::sleep(Duration::from_millis(30)); // let the 1 ms deadline lapse
-    gate.open();
+    gate.pause();
 
     let first = recv(&mut client);
     assert_eq!(field_u64(&first, "id"), 1);
@@ -456,16 +413,13 @@ fn errors_are_values_and_the_connection_survives_them() {
     runner.join().expect("server thread");
 }
 
-/// A panic inside a pass becomes a `panicked` report for that job only;
+/// A panic inside a compile becomes a `panicked` report for that job only;
 /// the worker, the connection, and the server all survive.
 #[test]
 fn a_panicking_pass_is_reported_not_fatal() {
-    let pipeline = Pipeline::builder()
-        .pass(PanicPass)
-        .schedule(Scheduler::Auto)
-        .synthesize()
-        .build();
-    let engine = Engine::new(pipeline, Target::FaultTolerant).with_threads(1);
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
+        .with_threads(1)
+        .with_fault(panicking());
     let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
     let mut client = Connection::connect(addr).expect("connect");
 
@@ -473,7 +427,7 @@ fn a_panicking_pass_is_reported_not_fatal() {
     let report = recv(&mut client);
     assert_eq!(field_str(&report, "error_kind"), "panicked");
     assert!(
-        field_str(&report, "error").contains("kaboom"),
+        field_str(&report, "error").contains(INJECTED_PANIC),
         "panic message survives to the wire: {}",
         report.to_compact()
     );
@@ -493,14 +447,10 @@ fn a_panicking_pass_is_reported_not_fatal() {
 /// [`CompileError::Panicked`] values, with the rest of the batch intact.
 #[test]
 fn batch_jobs_that_panic_become_per_job_errors() {
-    let pipeline = Pipeline::builder()
-        .pass(PanicPass)
-        .schedule(Scheduler::Auto)
-        .synthesize()
-        .build();
-    let engine = Engine::new(pipeline, Target::FaultTolerant)
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
         .without_cache()
-        .with_threads(2);
+        .with_threads(2)
+        .with_fault(panicking());
     let ir = parse_program(TINY_IR).expect("parse");
     let results = engine.compile_all(vec![
         CompileJob::named("a", ir.clone()),
@@ -509,7 +459,7 @@ fn batch_jobs_that_panic_become_per_job_errors() {
     assert_eq!(results.len(), 2);
     for r in &results {
         match &r.outcome {
-            Err(CompileError::Panicked(msg)) => assert!(msg.contains("kaboom")),
+            Err(CompileError::Panicked(msg)) => assert!(msg.contains(INJECTED_PANIC)),
             other => panic!("{}: expected Panicked, got {other:?}", r.name),
         }
     }

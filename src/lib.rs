@@ -6,8 +6,8 @@
 //!
 //! * [`paulihedral`] — the compiler framework (Pauli IR, scheduling,
 //!   FT/SC block-wise synthesis),
-//! * [`ph_engine`] — the compilation engine (pass manager, compilation
-//!   cache, multi-threaded batch driver),
+//! * [`ph_engine`] — the compilation engine (per-stage instrumentation,
+//!   compilation cache, multi-threaded batch driver),
 //! * [`ph_telemetry`] — spans, metrics, and JSONL/Chrome-trace export for
 //!   the whole compile path,
 //! * [`pauli`] — Pauli algebra substrate,

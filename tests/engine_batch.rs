@@ -101,7 +101,7 @@ fn batch_engine_is_bit_identical_to_sequential_compile_on_all_31_benchmarks() {
         );
         // The recorded deltas must reconstruct the final stats.
         let s = batch.report.final_stats();
-        assert_eq!(s.cnot, batch.compiled.circuit.stats().cnot, "{name}");
+        assert_eq!(s.cnot, batch.compiled.circuit.mapped_stats().cnot, "{name}");
     }
 }
 

@@ -7,10 +7,16 @@
 //! and depth counts. Refactors and performance changes must leave the
 //! table unchanged; the report (whose wall times vary) is not covered.
 //! On a mismatch the test prints the whole actual table.
+//!
+//! The same compiles also pin two properties of the reports: their
+//! circuit metrics are the mapped (SWAP-decomposed) metrics of the
+//! artifact, and their request keys are unchanged byte for byte.
+
+use std::sync::OnceLock;
 
 use paulihedral::{Compiled, Scheduler};
 use ph_engine::cache::Fingerprint;
-use ph_engine::{proto, CompileJob, Engine, Pipeline, Target};
+use ph_engine::{proto, BatchResult, CompileJob, Engine, Pipeline, Target};
 use qcircuit::Gate;
 use workloads::suite::{self, BackendClass};
 
@@ -98,13 +104,27 @@ fn artifact_hash(c: &Compiled) -> u64 {
     h.finish()
 }
 
+/// Every row compiled once per test binary, shared by the tests below.
+fn compiled() -> &'static [BatchResult] {
+    static RESULTS: OnceLock<Vec<BatchResult>> = OnceLock::new();
+    RESULTS.get_or_init(|| Engine::new(Pipeline::auto(), Target::FaultTolerant).compile_all(jobs()))
+}
+
+/// The compiled row labelled `name`.
+fn row(name: &str) -> &'static BatchResult {
+    compiled()
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("no golden row `{name}`"))
+}
+
 #[test]
 fn compiled_artifacts_match_the_golden_table() {
-    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
     let mut actual = String::from("# program target scheduler hash cnot single depth\n");
-    for r in engine.compile_all(jobs()) {
+    for r in compiled() {
         let out = r
             .outcome
+            .as_ref()
             .unwrap_or_else(|e| panic!("{} failed: {e}", r.name));
         let s = out.compiled.circuit.mapped_stats();
         actual.push_str(&format!(
@@ -120,4 +140,40 @@ fn compiled_artifacts_match_the_golden_table() {
         actual == GOLDEN,
         "compiled artifacts differ from tests/golden_artifacts.txt; actual table:\n{actual}"
     );
+}
+
+/// A report's final stats (the per-pass table's total line, the wire
+/// report, the `phc` headline) count the mapped circuit: on SC targets a
+/// SWAP is three CNOTs there too.
+#[test]
+fn report_stats_are_the_mapped_stats_on_every_sc_row() {
+    let mut checked = 0;
+    for r in compiled() {
+        if r.name.contains(" ft ") {
+            continue;
+        }
+        let out = r.outcome.as_ref().expect("golden rows compile");
+        assert_eq!(
+            out.report.final_stats(),
+            out.compiled.circuit.mapped_stats(),
+            "{}",
+            r.name
+        );
+        checked += 1;
+    }
+    assert!(checked >= 20, "only {checked} SC rows");
+}
+
+/// Request keys hash the IR, the pipeline signature
+/// (`schedule:<spec>|synthesis|peephole`) and the target. Stored disk
+/// entries and client retries depend on them, so they are pinned here.
+#[test]
+fn request_keys_are_pinned() {
+    for (name, key) in [
+        ("N2 ft gco", 0xc1ab_7c95_da72_3957_u64),
+        ("UCCSD-8 manhattan gco", 0x0b95_911d_1078_692b),
+    ] {
+        let out = row(name).outcome.as_ref().expect("golden rows compile");
+        assert_eq!(out.report.key, key, "{name}: {:016x}", out.report.key);
+    }
 }
