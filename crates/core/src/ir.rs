@@ -85,10 +85,7 @@ impl PauliBlock {
     /// Qubits with a non-identity operator in **at least one** string
     /// ("active qubits", §5.2), ascending.
     pub fn active_qubits(&self) -> Vec<usize> {
-        let n = self.num_qubits();
-        (0..n)
-            .filter(|&q| self.terms.iter().any(|t| t.string.is_active(q)))
-            .collect()
+        pauli::set_bits(self.active_mask())
     }
 
     /// The *active length*: the number of active qubits (Alg. 1's block
@@ -104,10 +101,14 @@ impl PauliBlock {
     /// Qubits with a non-identity operator in **every** string (the "core
     /// qubit list" of Alg. 3).
     pub fn core_qubits(&self) -> Vec<usize> {
-        let n = self.num_qubits();
-        (0..n)
-            .filter(|&q| self.terms.iter().all(|t| t.string.is_active(q)))
-            .collect()
+        let mut mask = vec![u64::MAX; self.num_qubits().div_ceil(64)];
+        for t in &self.terms {
+            let (x, z) = (t.string.x_words(), t.string.z_words());
+            for (w, m) in mask.iter_mut().enumerate() {
+                *m &= x[w] | z[w];
+            }
+        }
+        pauli::set_bits(mask)
     }
 
     /// Whether this block's active qubits are disjoint from another's.
@@ -282,6 +283,31 @@ mod tests {
         assert_eq!(b.active_qubits(), vec![0, 1, 2]);
         assert_eq!(b.active_len(), 3);
         assert_eq!(b.core_qubits(), vec![1]);
+    }
+
+    #[test]
+    fn active_and_core_qubits_match_per_qubit_scans_across_three_words() {
+        // 150 qubits span three words; the strings share qubits on either
+        // side of both word boundaries.
+        let n = 150;
+        let ops = |qs: &[usize], p| PauliTerm::new(PauliString::with_ops(n, qs, p), 1.0);
+        let b = PauliBlock::new(
+            vec![
+                ops(&[0, 5, 63, 64, 127, 128, 149], pauli::Pauli::Z),
+                ops(&[5, 63, 64, 100, 128, 149], pauli::Pauli::X),
+                ops(&[1, 5, 63, 64, 128, 140, 149], pauli::Pauli::Y),
+            ],
+            Parameter::time(0.1),
+        );
+        let active: Vec<usize> = (0..n)
+            .filter(|&q| b.terms.iter().any(|t| t.string.is_active(q)))
+            .collect();
+        let core: Vec<usize> = (0..n)
+            .filter(|&q| b.terms.iter().all(|t| t.string.is_active(q)))
+            .collect();
+        assert_eq!(b.active_qubits(), active);
+        assert_eq!(b.core_qubits(), core);
+        assert_eq!(core, vec![5, 63, 64, 128, 149]);
     }
 
     #[test]

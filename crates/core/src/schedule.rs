@@ -243,7 +243,7 @@ pub fn flatten(layers: &[Layer]) -> Vec<&PauliBlock> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ir::Parameter;
     use pauli::PauliTerm;
@@ -481,7 +481,7 @@ mod tests {
 
     /// Deterministic many-blocks IR: mixed support sizes and multi-string
     /// blocks scattered over enough qubits to cross word boundaries.
-    fn stress_ir(n: usize, num_blocks: usize, seed: u64) -> PauliIR {
+    pub(crate) fn stress_ir(n: usize, num_blocks: usize, seed: u64) -> PauliIR {
         let mut state = seed;
         let mut rng = move |m: usize| {
             // LCG (Numerical Recipes constants); high bits for quality.

@@ -1,17 +1,19 @@
 //! Block-wise optimization for the superconducting backend (paper Alg. 3).
 //!
-//! The SC pass is mapping-aware: it embeds the CNOT tree of each Pauli
-//! string directly in the device coupling map so the gadget ladders need no
-//! per-CNOT routing. Per layer it processes the largest block first
-//! (critical path): the block's active qubits are pulled together through
-//! lowest-error shortest paths (persistent SWAPs — the embedded-tree
-//! transformations of Fig. 10(d)), each string is synthesized as a BFS tree
-//! fold over its active nodes, and strings are emitted cheapest-routing-
-//! first (already-adjacent gadgets are free), tie-broken by operator
-//! overlap for cancellation. Small blocks whose active regions avoid the
-//! anchor's run in parallel; conflicting ones are deferred to
-//! `remain_layers` and compiled at the end ordered by cumulative
-//! active-qubit distance (Alg. 3 lines 18–23).
+//! The SC pass is mapping-aware. It first seats the logical qubits on the
+//! device's most connected subgraph (line 1) with an incremental greedy
+//! over sparse interaction lists, O(n) per placed qubit. It then embeds the
+//! CNOT tree of each Pauli string directly in the device coupling map so
+//! the gadget ladders need no per-CNOT routing. Per layer it processes the
+//! largest block first (critical path): the block's active qubits are
+//! pulled together through lowest-error shortest paths (persistent SWAPs —
+//! the embedded-tree transformations of Fig. 10(d)), each string is
+//! synthesized as a BFS tree fold over its active nodes, and strings are
+//! emitted cheapest-routing-first (already-adjacent gadgets are free),
+//! tie-broken by operator overlap for cancellation. Small blocks whose
+//! active regions avoid the anchor's run in parallel; conflicting ones are
+//! deferred to `remain_layers` and compiled at the end ordered by
+//! cumulative active-qubit distance (Alg. 3 lines 18–23).
 
 use pauli::PauliString;
 use qcircuit::{Circuit, Gate};
@@ -45,108 +47,116 @@ struct Deferred;
 /// connected subgraph of the device, assigned greedily so strongly
 /// interacting logical qubits (co-active in many strings) sit close
 /// together.
-fn choose_initial_layout(
-    n_logical: usize,
-    layers: &[Layer],
-    device: &CouplingMap,
-    intra: Intra<'_>,
-) -> Vec<usize> {
+///
+/// One placement scans the unplaced qubits once and the free seats once:
+/// every unplaced qubit's link into the placed set is kept up to date
+/// from the sparse partner lists, and a seat is scored over the new
+/// qubit's placed partners only (the skipped terms all have weight 0).
+fn choose_initial_layout(n_logical: usize, layers: &[Layer], device: &CouplingMap) -> Vec<usize> {
     let subgraph = device.most_connected_subgraph(n_logical);
-    // Interaction weights: co-activity counts over all strings.
-    let mut weight = vec![vec![0u64; n_logical]; n_logical];
-    let mut total = vec![0u64; n_logical];
-    for layer in layers {
-        for block in &layer.blocks {
-            for term in &block.terms {
-                let sup = term.string.support();
-                for (i, &a) in sup.iter().enumerate() {
-                    for &b in &sup[i + 1..] {
-                        weight[a][b] += 1;
-                        weight[b][a] += 1;
-                        total[a] += 1;
-                        total[b] += 1;
+    let (partners, total) = interaction_partners(n_logical, layers);
+    // Seed: the busiest logical qubit (last maximum) on the first subgraph
+    // node of maximal in-subgraph degree.
+    let seed = (0..n_logical).max_by_key(|&l| total[l]).unwrap_or(0);
+    let mut in_subgraph = vec![false; device.num_qubits()];
+    for &p in &subgraph {
+        in_subgraph[p] = true;
+    }
+    let mut free = subgraph;
+    let inner_degree = |p: usize| {
+        device
+            .neighbors(p)
+            .iter()
+            .filter(|&&q| in_subgraph[q])
+            .count()
+    };
+    let max_degree = free.iter().map(|&p| inner_degree(p)).max().unwrap_or(0);
+    let seat = free
+        .iter()
+        .position(|&p| inner_degree(p) == max_degree)
+        .unwrap_or(0);
+    let mut l2p = vec![usize::MAX; n_logical];
+    // `link[l]`: total interaction weight between `l` and the placed set.
+    let mut link = vec![0u64; n_logical];
+    let mut placed_partners: Vec<(usize, u64)> = Vec::new();
+    let (mut next, mut seat) = (seed, seat);
+    for placed in 1..=n_logical {
+        l2p[next] = free.remove(seat);
+        for &(q, w) in &partners[next] {
+            link[q] += w;
+        }
+        if placed == n_logical {
+            break;
+        }
+        // Next logical: strongest link into the placed set, then busiest;
+        // the last maximum wins.
+        next = (0..n_logical)
+            .filter(|&l| l2p[l] == usize::MAX)
+            .max_by_key(|&l| (link[l], total[l]))
+            .expect("unplaced logical exists");
+        // Seat minimizing weighted distance to its placed partners; the
+        // first minimum wins. Distances are symmetric, and reading them
+        // from the partner's row keeps those few rows in cache across the
+        // scan.
+        placed_partners.clear();
+        placed_partners.extend(
+            partners[next]
+                .iter()
+                .filter(|&&(q, _)| l2p[q] != usize::MAX)
+                .map(|&(q, w)| (l2p[q], w)),
+        );
+        seat = (0..free.len())
+            .min_by_key(|&k| {
+                placed_partners
+                    .iter()
+                    .map(|&(p, w)| w * u64::from(device.distance(p, free[k])))
+                    .sum::<u64>()
+            })
+            .expect("free seat exists");
+    }
+    l2p
+}
+
+/// Sparse interaction weights: `partners[a]` lists every `(b, w)` with
+/// `w > 0` strings active on both `a` and `b`, and `total[a]` is the sum
+/// of those weights. Rows are accumulated one qubit at a time over the
+/// strings active on it, so the work is the number of co-active pairs and
+/// no n × n matrix is allocated.
+fn interaction_partners(n: usize, layers: &[Layer]) -> (Vec<Vec<(usize, u64)>>, Vec<u64>) {
+    let mut supports: Vec<usize> = Vec::new();
+    let mut bounds = vec![0];
+    let mut strings_on: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for term in layers.iter().flat_map(|l| &l.blocks).flat_map(|b| &b.terms) {
+        let id = bounds.len() - 1;
+        for q in term.string.support() {
+            strings_on[q].push(id);
+            supports.push(q);
+        }
+        bounds.push(supports.len());
+    }
+    let mut partners = Vec::with_capacity(n);
+    let mut total = vec![0u64; n];
+    let mut weight = vec![0u64; n];
+    let mut seen: Vec<usize> = Vec::new();
+    for (a, ids) in strings_on.iter().enumerate() {
+        for &id in ids {
+            for &b in &supports[bounds[id]..bounds[id + 1]] {
+                if b != a {
+                    if weight[b] == 0 {
+                        seen.push(b);
                     }
+                    weight[b] += 1;
                 }
             }
         }
+        let row: Vec<(usize, u64)> = seen
+            .drain(..)
+            .map(|b| (b, std::mem::take(&mut weight[b])))
+            .collect();
+        total[a] = row.iter().map(|&(_, w)| w).sum();
+        partners.push(row);
     }
-    let mut l2p = vec![usize::MAX; n_logical];
-    let mut free: Vec<usize> = subgraph.clone();
-    let mut placed: Vec<usize> = Vec::new();
-    // Seed: the busiest logical qubit on the best-connected subgraph node.
-    let seed = (0..n_logical).max_by_key(|&l| total[l]).unwrap_or(0);
-    let seat = free
-        .iter()
-        .position(|&p| {
-            device
-                .neighbors(p)
-                .iter()
-                .filter(|&&q| subgraph.contains(&q))
-                .count()
-                == free
-                    .iter()
-                    .map(|&x| {
-                        device
-                            .neighbors(x)
-                            .iter()
-                            .filter(|&&q| subgraph.contains(&q))
-                            .count()
-                    })
-                    .max()
-                    .unwrap_or(0)
-        })
-        .unwrap_or(0);
-    l2p[seed] = free.remove(seat);
-    placed.push(seed);
-    // The two argbest scans below are O(candidates × placed) each and run
-    // once per placement — the cubic hot spot at 100+ logical qubits, and
-    // each candidate's score is independent. The chunked reductions
-    // replicate the sequential tie-breaking exactly: `max_by_key` keeps
-    // the *last* maximum (`>=` in-chunk, later chunks win the merge) and
-    // `min_by_key` keeps the *first* minimum (`<` in-chunk, earlier
-    // chunks win the merge).
-    const GRAIN: usize = 64;
-    while placed.len() < n_logical {
-        // Next logical: strongest link into the placed set.
-        let unplaced: Vec<usize> = (0..n_logical).filter(|&l| l2p[l] == usize::MAX).collect();
-        let next = intra
-            .par_chunks("sc.layout.next", &unplaced, GRAIN, |_, _, chunk| {
-                let mut best: Option<(u64, u64, usize)> = None;
-                for &l in chunk {
-                    let w = placed.iter().map(|&p| weight[l][p]).sum::<u64>();
-                    if best.is_none_or(|(bw, bt, _)| (w, total[l]) >= (bw, bt)) {
-                        best = Some((w, total[l], l));
-                    }
-                }
-                best.expect("non-empty chunk")
-            })
-            .into_iter()
-            .reduce(|acc, c| if (c.0, c.1) >= (acc.0, acc.1) { c } else { acc })
-            .expect("unplaced logical exists")
-            .2;
-        // Seat minimizing weighted distance to its placed partners.
-        let fi = intra
-            .par_chunks("sc.layout.seat", &free, GRAIN, |_, offset, chunk| {
-                let mut best: Option<(u64, usize)> = None;
-                for (k, &cand) in chunk.iter().enumerate() {
-                    let c = placed
-                        .iter()
-                        .map(|&p| weight[next][p] * u64::from(device.distance(cand, l2p[p])))
-                        .sum::<u64>();
-                    if best.is_none_or(|(bc, _)| c < bc) {
-                        best = Some((c, offset + k));
-                    }
-                }
-                best.expect("non-empty chunk")
-            })
-            .into_iter()
-            .reduce(|acc, c| if c.0 < acc.0 { c } else { acc })
-            .expect("free seat exists")
-            .1;
-        l2p[next] = free.remove(fi);
-        placed.push(next);
-    }
-    l2p
+    (partners, total)
 }
 
 /// Connects the current positions of `logicals` into one component of the
@@ -509,10 +519,11 @@ fn process_block(
 /// it as its own stage).
 ///
 /// The block emission order is inherently sequential (the layout is
-/// carried from block to block), but the argbest scans inside — layout
-/// placement, per-string selection, block-scope SWAP scoring — shard
-/// across the workers of `intra` with sequential tie semantics, so the
-/// result is bit-identical for every worker count.
+/// carried from block to block), but the argbest scans inside each block —
+/// per-string selection and block-scope SWAP scoring — shard across the
+/// workers of `intra` with sequential tie semantics, so the result is
+/// bit-identical for every worker count. The initial layout is one
+/// sequential greedy pass, O(n) per placed qubit.
 ///
 /// # Panics
 ///
@@ -535,7 +546,7 @@ pub fn synthesize(
         device.num_qubits()
     );
     // Initial layout on the most connected subgraph (line 1).
-    let initial = choose_initial_layout(n_logical, layers, device, intra);
+    let initial = choose_initial_layout(n_logical, layers, device);
     let mut layout = Layout::from_l2p(device.num_qubits(), initial.clone());
     let mut circuit = Circuit::new(device.num_qubits());
     let mut emitted: Vec<(PauliString, f64)> = Vec::new();
@@ -633,8 +644,195 @@ mod tests {
     use crate::ir::{Parameter, PauliBlock, PauliIR};
     use crate::schedule;
     use pauli::PauliTerm;
+    use proptest::prelude::*;
     use qcircuit::peephole;
     use qdevice::devices;
+
+    /// The initial-layout greedy as it stood before the incremental
+    /// rewrite: dense weights, every score re-summed over the whole placed
+    /// set. Kept verbatim (only its shard labels renamed) as the oracle
+    /// that pins `choose_initial_layout` to it bit for bit.
+    fn choose_initial_layout_reference(
+        n_logical: usize,
+        layers: &[Layer],
+        device: &CouplingMap,
+        intra: Intra<'_>,
+    ) -> Vec<usize> {
+        let subgraph = device.most_connected_subgraph(n_logical);
+        // Interaction weights: co-activity counts over all strings.
+        let mut weight = vec![vec![0u64; n_logical]; n_logical];
+        let mut total = vec![0u64; n_logical];
+        for layer in layers {
+            for block in &layer.blocks {
+                for term in &block.terms {
+                    let sup = term.string.support();
+                    for (i, &a) in sup.iter().enumerate() {
+                        for &b in &sup[i + 1..] {
+                            weight[a][b] += 1;
+                            weight[b][a] += 1;
+                            total[a] += 1;
+                            total[b] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let mut l2p = vec![usize::MAX; n_logical];
+        let mut free: Vec<usize> = subgraph.clone();
+        let mut placed: Vec<usize> = Vec::new();
+        // Seed: the busiest logical qubit on the best-connected subgraph node.
+        let seed = (0..n_logical).max_by_key(|&l| total[l]).unwrap_or(0);
+        let seat = free
+            .iter()
+            .position(|&p| {
+                device
+                    .neighbors(p)
+                    .iter()
+                    .filter(|&&q| subgraph.contains(&q))
+                    .count()
+                    == free
+                        .iter()
+                        .map(|&x| {
+                            device
+                                .neighbors(x)
+                                .iter()
+                                .filter(|&&q| subgraph.contains(&q))
+                                .count()
+                        })
+                        .max()
+                        .unwrap_or(0)
+            })
+            .unwrap_or(0);
+        l2p[seed] = free.remove(seat);
+        placed.push(seed);
+        // The two argbest scans below are O(candidates × placed) each and run
+        // once per placement — the cubic hot spot at 100+ logical qubits, and
+        // each candidate's score is independent. The chunked reductions
+        // replicate the sequential tie-breaking exactly: `max_by_key` keeps
+        // the *last* maximum (`>=` in-chunk, later chunks win the merge) and
+        // `min_by_key` keeps the *first* minimum (`<` in-chunk, earlier
+        // chunks win the merge).
+        const GRAIN: usize = 64;
+        while placed.len() < n_logical {
+            // Next logical: strongest link into the placed set.
+            let unplaced: Vec<usize> = (0..n_logical).filter(|&l| l2p[l] == usize::MAX).collect();
+            let next = intra
+                .par_chunks("reference.next", &unplaced, GRAIN, |_, _, chunk| {
+                    let mut best: Option<(u64, u64, usize)> = None;
+                    for &l in chunk {
+                        let w = placed.iter().map(|&p| weight[l][p]).sum::<u64>();
+                        if best.is_none_or(|(bw, bt, _)| (w, total[l]) >= (bw, bt)) {
+                            best = Some((w, total[l], l));
+                        }
+                    }
+                    best.expect("non-empty chunk")
+                })
+                .into_iter()
+                .reduce(|acc, c| if (c.0, c.1) >= (acc.0, acc.1) { c } else { acc })
+                .expect("unplaced logical exists")
+                .2;
+            // Seat minimizing weighted distance to its placed partners.
+            let fi = intra
+                .par_chunks("reference.seat", &free, GRAIN, |_, offset, chunk| {
+                    let mut best: Option<(u64, usize)> = None;
+                    for (k, &cand) in chunk.iter().enumerate() {
+                        let c = placed
+                            .iter()
+                            .map(|&p| weight[next][p] * u64::from(device.distance(cand, l2p[p])))
+                            .sum::<u64>();
+                        if best.is_none_or(|(bc, _)| c < bc) {
+                            best = Some((c, offset + k));
+                        }
+                    }
+                    best.expect("non-empty chunk")
+                })
+                .into_iter()
+                .reduce(|acc, c| if c.0 < acc.0 { c } else { acc })
+                .expect("free seat exists")
+                .1;
+            l2p[next] = free.remove(fi);
+            placed.push(next);
+        }
+        l2p
+    }
+
+    /// A random spanning tree plus random extra edges: always connected.
+    fn random_connected_map(n: usize, extra: &[(u32, u32)]) -> CouplingMap {
+        let mut edges: Vec<(usize, usize)> = (1..n).map(|v| (v / 2, v)).collect();
+        for &(a, b) in extra {
+            let (a, b) = (a as usize % n, b as usize % n);
+            if a != b {
+                edges.push((a.min(b), a.max(b)));
+            }
+        }
+        CouplingMap::new(n, &edges)
+    }
+
+    fn assert_layout_matches_reference(n: usize, layers: &[Layer], device: &CouplingMap) {
+        assert_eq!(
+            choose_initial_layout(n, layers, device),
+            choose_initial_layout_reference(n, layers, device, Intra::sequential()),
+            "{n} logical qubits on {} physical",
+            device.num_qubits()
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn layout_matches_the_reference_on_random_programs(
+            kind in 0usize..4,
+            size in (2usize..9, 2usize..9),
+            program in (1usize..60, any::<u64>()),
+            extra in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..16),
+            gco in any::<bool>(),
+        ) {
+            let device = match kind {
+                0 => devices::linear(size.0 * size.1),
+                1 => devices::grid(size.0, size.1),
+                2 => devices::manhattan_65(),
+                _ => random_connected_map(size.0 * size.1, &extra),
+            };
+            let n = 1 + (program.1 as usize) % device.num_qubits();
+            let ir = schedule::tests::stress_ir(n, program.0, program.1);
+            let layers = if gco {
+                schedule::schedule_gco(&ir)
+            } else {
+                schedule::schedule_depth(&ir)
+            };
+            assert_layout_matches_reference(n, &layers, &device);
+        }
+    }
+
+    #[test]
+    fn layout_matches_the_reference_under_forced_ties() {
+        // Every pair interacts equally (one all-to-all ZZ block), or no
+        // pair interacts at all (weight-1 strings only): every choice of
+        // next qubit and most seat choices are ties.
+        for n in [2, 5, 9, 16] {
+            let mut all_to_all = Vec::new();
+            let mut singles = Vec::new();
+            for a in 0..n {
+                for b in a + 1..n {
+                    let s = PauliString::with_ops(n, &[a, b], pauli::Pauli::Z);
+                    all_to_all.push(PauliTerm::new(s, 1.0));
+                }
+                let s = PauliString::with_ops(n, &[a], pauli::Pauli::X);
+                singles.push(PauliTerm::new(s, 1.0));
+            }
+            for terms in [all_to_all, singles] {
+                let ir = PauliIR::single_block(n, terms, Parameter::named("g", 0.3));
+                let layers = schedule::schedule_gco(&ir);
+                for device in [
+                    devices::linear(n),
+                    devices::grid(4, 4),
+                    devices::manhattan_65(),
+                    devices::fully_connected(n),
+                ] {
+                    assert_layout_matches_reference(n, &layers, &device);
+                }
+            }
+        }
+    }
 
     /// Synthesis plus the peephole clean-up a full compile runs.
     fn optimized(

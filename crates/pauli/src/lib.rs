@@ -44,6 +44,6 @@ mod tableau;
 mod term;
 
 pub use pauli_op::Pauli;
-pub use string::{ParsePauliError, PauliString};
+pub use string::{set_bits, ParsePauliError, PauliString};
 pub use tableau::{CliffordGate, DiagonalizeError, Tableau};
 pub use term::PauliTerm;

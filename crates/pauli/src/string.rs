@@ -57,6 +57,24 @@ const fn words_for(n: usize) -> usize {
     n.div_ceil(64)
 }
 
+/// The indices of the set bits of a word-packed bit set (bit `b` of word
+/// `w` is index `64·w + b`), ascending. One step per set bit, not per
+/// index.
+///
+/// ```
+/// assert_eq!(pauli::set_bits([0b1010, 0, 1]), vec![1, 3, 128]);
+/// ```
+pub fn set_bits(words: impl IntoIterator<Item = u64>) -> Vec<usize> {
+    let mut out = Vec::new();
+    for (w, mut m) in words.into_iter().enumerate() {
+        while m != 0 {
+            out.push(64 * w + m.trailing_zeros() as usize);
+            m &= m - 1;
+        }
+    }
+    out
+}
+
 impl PauliString {
     /// The all-identity string on `n` qubits.
     pub fn identity(n: usize) -> PauliString {
@@ -159,14 +177,7 @@ impl PauliString {
 
     /// The qubits carrying a non-identity operator, ascending.
     pub fn support(&self) -> Vec<usize> {
-        let mut qs = Vec::new();
-        for q in 0..self.n {
-            let (w, b) = (q / 64, q % 64);
-            if ((self.x[w] | self.z[w]) >> b) & 1 == 1 {
-                qs.push(q);
-            }
-        }
-        qs
+        set_bits(self.x.iter().zip(&self.z).map(|(&x, &z)| x | z))
     }
 
     /// The number of non-identity operators (a.k.a. the Pauli weight).

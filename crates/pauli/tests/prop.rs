@@ -88,6 +88,14 @@ proptest! {
     }
 
     #[test]
+    fn support_matches_the_per_qubit_scan_across_words(
+        a in (0usize..4).prop_flat_map(|i| arb_string([63, 64, 65, 130][i])),
+    ) {
+        let scan: Vec<usize> = (0..a.num_qubits()).filter(|&q| a.is_active(q)).collect();
+        prop_assert_eq!(a.support(), scan);
+    }
+
+    #[test]
     fn tableau_conjugation_preserves_commutation(
         rows in proptest::collection::vec(arb_string(5), 2..5),
         gates in proptest::collection::vec((0u8..4, 0usize..5, 0usize..5), 0..20),

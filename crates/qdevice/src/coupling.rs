@@ -20,7 +20,8 @@ pub struct CouplingMap {
     n: usize,
     adj: Vec<Vec<usize>>,
     edges: Vec<(usize, usize)>,
-    dist: Vec<Vec<u32>>,
+    /// Row-major `n × n` hop distances.
+    dist: Vec<u32>,
 }
 
 impl CouplingMap {
@@ -75,7 +76,8 @@ impl CouplingMap {
     /// Hop distance between two physical qubits (`u32::MAX` if disconnected).
     #[inline]
     pub fn distance(&self, a: usize, b: usize) -> u32 {
-        self.dist[a][b]
+        assert!(b < self.n, "qubit {b} out of range for {} qubits", self.n);
+        self.dist[a * self.n + b]
     }
 
     /// The degree of physical qubit `p`.
@@ -259,16 +261,22 @@ impl CouplingMap {
     }
 }
 
-fn all_pairs_bfs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<u32>> {
-    let mut dist = vec![vec![u32::MAX; n]; n];
-    for (s, row) in dist.iter_mut().enumerate() {
+/// Hop distances from every source by BFS, as one row-major `n × n`
+/// table. One queue buffer serves every source.
+fn all_pairs_bfs(n: usize, adj: &[Vec<usize>]) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; n * n];
+    let mut queue = Vec::with_capacity(n);
+    for (s, row) in dist.chunks_exact_mut(n.max(1)).enumerate() {
         row[s] = 0;
-        let mut queue = VecDeque::from([s]);
-        while let Some(u) = queue.pop_front() {
+        queue.clear();
+        queue.push(s);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
             for &v in &adj[u] {
                 if row[v] == u32::MAX {
                     row[v] = row[u] + 1;
-                    queue.push_back(v);
+                    queue.push(v);
                 }
             }
         }

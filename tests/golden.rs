@@ -1,5 +1,5 @@
 //! Golden artifacts: every compiled circuit of the Table-1 service set
-//! (Table 1 without NaCl and Rand-40…80) under both schedulers, plus two
+//! (Table 1 without NaCl and Rand-40…80) under both schedulers, plus four
 //! scale lattices, must match the checked-in table bit for bit.
 //!
 //! Each row records an FNV-1a hash of the artifact (gates, the emitted
@@ -48,7 +48,12 @@ fn jobs() -> Vec<CompileJob> {
             );
         }
     }
-    for (name, spec) in [("Heisen-1000", "ft"), ("Heisen-16x16", "grid:16x16")] {
+    for (name, spec) in [
+        ("Heisen-1000", "ft"),
+        ("Heisen-16x16", "grid:16x16"),
+        ("Heisen-32x32", "grid:32x32"),
+        ("Ising-32x32", "grid:32x32"),
+    ] {
         let ir = workloads::scale::named_scale_ir(name).expect("scale workload");
         let target = Target::parse_spec(spec, ir.num_qubits()).expect("known backend");
         jobs.push(
