@@ -17,7 +17,6 @@
 use pauli::{CliffordGate, PauliString, Tableau};
 use paulihedral::ir::PauliIR;
 use paulihedral::synth::chain::synthesize_sequence;
-use paulihedral::synth::par::Intra;
 use qcircuit::{Circuit, Gate};
 
 /// Upper bound on cluster size: keeps tableau elimination quadratic-in-k
@@ -123,7 +122,7 @@ pub fn compile_tk(ir: &PauliIR) -> TkResult {
         for &g in &clifford {
             circuit.push(clifford_to_gate(g));
         }
-        let ladders = synthesize_sequence(n, &diag_seq, Intra::sequential());
+        let ladders = synthesize_sequence(n, &diag_seq);
         circuit.append_circuit(&ladders);
         for &g in clifford.iter().rev() {
             circuit.push(clifford_to_gate(g.inverse()));

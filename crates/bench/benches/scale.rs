@@ -1,7 +1,5 @@
-//! Criterion bench: full-pipeline compiles at 100/500/1000+ qubits, with
-//! the intra-compile worker budget swept over 1/2/8 — the parallel paths
-//! are bit-identical to sequential, so the only thing that should move
-//! between rows is wall time.
+//! Criterion bench: full-pipeline compiles at 100/500/1000+ qubits, one
+//! `compile` row per lattice.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paulihedral::{compile, Backend, CompileOptions, Scheduler};
@@ -12,14 +10,10 @@ fn bench_scale(c: &mut Criterion) {
     group.sample_size(10);
     for name in ["Heisen-100", "Heisen-500", "Heisen-1000", "Heisen-32x32"] {
         let ir = scale::named_scale_ir(name).expect("preset scale name");
-        for intra in [1usize, 2, 8] {
-            let id = BenchmarkId::new(format!("compile/intra{intra}"), name);
-            group.bench_with_input(id, &ir, |bench, ir| {
-                let opts = CompileOptions::new(Scheduler::Auto, Backend::FaultTolerant)
-                    .with_intra_threads(intra);
-                bench.iter(|| compile(ir, &opts));
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("compile", name), &ir, |bench, ir| {
+            let opts = CompileOptions::new(Scheduler::Auto, Backend::FaultTolerant);
+            bench.iter(|| compile(ir, &opts));
+        });
     }
     group.finish();
 }

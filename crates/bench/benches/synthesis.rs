@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paulihedral::schedule::schedule_depth;
-use paulihedral::synth::par::Intra;
 use paulihedral::synth::{ft, sc};
 use qcircuit::peephole;
 use qdevice::devices;
@@ -19,14 +18,14 @@ fn bench_synthesis(c: &mut Criterion) {
         let n = b.ir.num_qubits();
         group.bench_with_input(BenchmarkId::new("ft", name), &layers, |bench, layers| {
             bench.iter(|| {
-                let mut r = ft::synthesize(n, layers, Intra::sequential());
+                let mut r = ft::synthesize(n, layers);
                 peephole::optimize(&mut r.circuit);
                 r
             });
         });
         group.bench_with_input(BenchmarkId::new("sc", name), &layers, |bench, layers| {
             bench.iter(|| {
-                let mut r = sc::synthesize(n, layers, &device, None, Intra::sequential());
+                let mut r = sc::synthesize(n, layers, &device, None);
                 peephole::optimize(&mut r.circuit);
                 r
             });

@@ -18,7 +18,6 @@
 
 use paulihedral::synth::chain::{emit_gadget, emit_gadget_balanced};
 use paulihedral::synth::ft;
-use paulihedral::synth::par::Intra;
 use paulihedral::{compile, Backend, CompileOptions, Scheduler};
 use ph_bench::{ph_flow, print_row, SecondStage};
 use qcircuit::{peephole, Circuit};
@@ -47,7 +46,7 @@ fn main() {
     for name in ["UCCSD-8", "N2", "Heisen-2D"] {
         let b = suite::generate(name);
         let layers = paulihedral::run_scheduler(&b.ir, Scheduler::GateCount);
-        let mut with = ft::synthesize(b.ir.num_qubits(), &layers, Intra::sequential());
+        let mut with = ft::synthesize(b.ir.num_qubits(), &layers);
         peephole::optimize(&mut with.circuit);
         // Without: same emission order, ascending chains.
         let mut without = Circuit::new(b.ir.num_qubits());
@@ -74,7 +73,7 @@ fn main() {
     for name in ["N2", "Rand-30"] {
         let b = suite::generate(name);
         let layers = paulihedral::run_scheduler(&b.ir, Scheduler::GateCount);
-        let mut with = ft::synthesize(b.ir.num_qubits(), &layers, Intra::sequential());
+        let mut with = ft::synthesize(b.ir.num_qubits(), &layers);
         peephole::optimize(&mut with.circuit);
         let mut balanced = Circuit::new(b.ir.num_qubits());
         for (s, theta) in &with.emitted {
@@ -135,7 +134,6 @@ fn main() {
         let plain = compile(
             &b.ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &manhattan,
@@ -146,7 +144,6 @@ fn main() {
         let aware = compile(
             &b.ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &manhattan,

@@ -165,7 +165,6 @@ fn main() {
         let compiled = compile(
             &ph_ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &device,

@@ -31,6 +31,8 @@
 //! [`compile_observed`] is the one place the stages run; [`compile`] and
 //! [`try_compile`] call it without an [`Observer`], and the `ph_engine`
 //! cache and telemetry call it with one that times and records each stage.
+//! A compile runs on the calling thread: both synthesis passes are
+//! block-sequential, so callers parallelize across programs instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,31 +97,12 @@ pub struct CompileOptions<'a> {
     pub scheduler: Scheduler,
     /// Backend pass.
     pub backend: Backend<'a>,
-    /// Intra-compile worker budget for the synthesis passes: `1` (the
-    /// default) keeps synthesis sequential, `0` uses one worker per
-    /// available CPU, any other value is taken literally. The compiled
-    /// artifact is bit-identical for every setting — parallel shards
-    /// replicate the sequential tie-breaking exactly — so this is purely
-    /// a wall-clock knob and is excluded from compilation cache keys.
-    pub intra_threads: usize,
 }
 
 impl<'a> CompileOptions<'a> {
-    /// Options with the given passes and sequential synthesis
-    /// (`intra_threads = 1`).
+    /// Options with the given passes.
     pub fn new(scheduler: Scheduler, backend: Backend<'a>) -> CompileOptions<'a> {
-        CompileOptions {
-            scheduler,
-            backend,
-            intra_threads: 1,
-        }
-    }
-
-    /// Sets the intra-compile worker budget (builder-style).
-    #[must_use]
-    pub fn with_intra_threads(mut self, intra_threads: usize) -> CompileOptions<'a> {
-        self.intra_threads = intra_threads;
-        self
+        CompileOptions { scheduler, backend }
     }
 }
 
@@ -257,9 +240,8 @@ pub enum StageOutput<'a> {
 /// Watches a compilation from outside, so an embedding layer (the
 /// `ph_engine` cache and telemetry) can time and record it without
 /// `paulihedral` knowing about either. Every method defaults to a
-/// pass-through; `Sync` because [`Observer::shard`] runs on synthesis
-/// worker threads.
-pub trait Observer: Sync {
+/// pass-through.
+pub trait Observer {
     /// Runs the stage `name` (`schedule`, `synthesis` or `peephole`),
     /// optionally bracketed by instrumentation. Implementations must call
     /// `run` exactly once, on the calling thread.
@@ -269,13 +251,6 @@ pub trait Observer: Sync {
 
     /// Receives what the stage just run by [`Observer::stage`] produced.
     fn after_stage(&self, _output: StageOutput<'_>) {}
-
-    /// Runs one shard of the parallel synthesis region `region` (e.g.
-    /// `ft.junctions`). Implementations must call `work` exactly once;
-    /// they run on the shard's worker thread.
-    fn shard(&self, _region: &str, _shard: usize, work: &mut dyn FnMut()) {
-        work();
-    }
 }
 
 /// The observer of an unobserved compile.
@@ -285,7 +260,7 @@ impl Observer for Unobserved {}
 
 /// Compiles a Pauli IR program — validation, then the stages `schedule`,
 /// block-wise backend `synthesis` and `peephole` clean-up — reporting each
-/// stage and each parallel synthesis shard to `observer`.
+/// stage to `observer`.
 ///
 /// # Errors
 ///
@@ -297,10 +272,6 @@ pub fn compile_observed(
     observer: Option<&dyn Observer>,
 ) -> Result<Compiled, CompileError> {
     validate(ir, &options.backend)?;
-    let mut intra = synth::par::Intra::new(options.intra_threads);
-    if let Some(o) = observer {
-        intra = intra.with_observer(o);
-    }
     let observer = observer.unwrap_or(&Unobserved);
 
     let mut scheduler = options.scheduler;
@@ -316,7 +287,7 @@ pub fn compile_observed(
     observer.stage("synthesis", &mut || {
         synthesized = Some(match options.backend {
             Backend::FaultTolerant => {
-                let r = synth::ft::synthesize(n, &layers, intra);
+                let r = synth::ft::synthesize(n, &layers);
                 Compiled {
                     circuit: r.circuit,
                     emitted: r.emitted,
@@ -325,7 +296,7 @@ pub fn compile_observed(
                 }
             }
             Backend::Superconducting { device, noise } => {
-                let r = synth::sc::synthesize(n, &layers, device, noise, intra);
+                let r = synth::sc::synthesize(n, &layers, device, noise);
                 Compiled {
                     circuit: r.circuit,
                     emitted: r.emitted,
@@ -396,7 +367,6 @@ mod tests {
         let out = compile(
             &small_ir(),
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::GateCount,
                 backend: Backend::FaultTolerant,
             },
@@ -412,7 +382,6 @@ mod tests {
         let out = compile(
             &small_ir(),
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &device,
@@ -433,7 +402,6 @@ mod tests {
             let out = compile(
                 &small_ir(),
                 &CompileOptions {
-                    intra_threads: 1,
                     scheduler: s,
                     backend: Backend::FaultTolerant,
                 },
@@ -448,7 +416,6 @@ mod tests {
         let err = try_compile(
             &empty,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Auto,
                 backend: Backend::FaultTolerant,
             },
@@ -463,7 +430,6 @@ mod tests {
         let err = try_compile(
             &small_ir(),
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &device,
@@ -487,7 +453,6 @@ mod tests {
         let err = try_compile(
             &small_ir(),
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &device,
@@ -505,7 +470,6 @@ mod tests {
         compile(
             &PauliIR::new(2),
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::GateCount,
                 backend: Backend::FaultTolerant,
             },
@@ -519,7 +483,6 @@ mod tests {
         let auto = compile(
             &small_ir(),
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Auto,
                 backend: Backend::FaultTolerant,
             },
@@ -527,7 +490,6 @@ mod tests {
         let manual = compile(
             &small_ir(),
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::FaultTolerant,
             },

@@ -12,8 +12,6 @@
 use pauli::{Pauli, PauliString};
 use qcircuit::{Circuit, Gate};
 
-use crate::synth::par::Intra;
-
 /// The basis-change gate entering the Z basis for `p` on qubit `q`.
 ///
 /// Returns `None` for `I`/`Z` (no change needed).
@@ -168,21 +166,13 @@ pub fn aligned_order(
 }
 
 /// Synthesizes a sequence of `(string, θ)` gadgets with chain alignment
-/// (no peephole pass — callers run it once at the end).
-///
-/// Chain orders are inherently sequential — each gadget's CNOT order
-/// starts from the previous string's order — but they are cheap to
-/// compute. Gate *emission* (the allocation-heavy part) is not chained:
-/// once every order is fixed, each contiguous run of gadgets is emitted
-/// into its own sub-circuit on a worker and the sub-circuits are
-/// concatenated in order, which reproduces the sequential gate list
-/// exactly.
-pub fn synthesize_sequence(n: usize, seq: &[(PauliString, f64)], intra: Intra<'_>) -> Circuit {
-    // Pass 1 (sequential): resolve the aligned chain order of every
-    // non-identity gadget.
-    let mut planned: Vec<(usize, Vec<usize>)> = Vec::with_capacity(seq.len());
-    let mut prev: Option<(&PauliString, usize)> = None; // string + planned idx
-    for (i, (string, _)) in seq.iter().enumerate() {
+/// (no peephole pass — callers run it once at the end). Each gadget's
+/// CNOT order starts from the previous string's order, so gadgets are
+/// planned and emitted one at a time, in sequence order.
+pub fn synthesize_sequence(n: usize, seq: &[(PauliString, f64)]) -> Circuit {
+    let mut circuit = Circuit::new(n);
+    let mut prev: Option<(&PauliString, Vec<usize>)> = None;
+    for (i, (string, theta)) in seq.iter().enumerate() {
         if string.is_identity() {
             continue;
         }
@@ -190,30 +180,9 @@ pub fn synthesize_sequence(n: usize, seq: &[(PauliString, f64)], intra: Intra<'_
             .iter()
             .map(|(s, _)| s)
             .find(|s| !s.is_identity());
-        let order = aligned_order(
-            string,
-            prev.map(|(s, pi)| (s, planned[pi].1.as_slice())),
-            next,
-        );
-        planned.push((i, order));
-        prev = Some((string, planned.len() - 1));
-    }
-    // Pass 2 (parallel): emit chunks of gadgets into per-chunk circuits,
-    // then concatenate in chunk order.
-    let chunks = intra.par_chunks("chain.emit", &planned, 256, |_, _, chunk| {
-        let mut c = Circuit::new(n);
-        for (i, order) in chunk {
-            let (string, theta) = &seq[*i];
-            emit_gadget(&mut c, string, *theta, order);
-        }
-        c
-    });
-    if chunks.len() == 1 {
-        return chunks.into_iter().next().expect("one chunk");
-    }
-    let mut circuit = Circuit::new(n);
-    for chunk in &chunks {
-        circuit.append_circuit(chunk);
+        let order = aligned_order(string, prev.as_ref().map(|(s, o)| (*s, o.as_slice())), next);
+        emit_gadget(&mut circuit, string, *theta, &order);
+        prev = Some((string, order));
     }
     circuit
 }
@@ -298,7 +267,7 @@ mod tests {
         emit_gadget(&mut naive, &seq[1].0, seq[1].1, &[1, 2]);
         peephole::optimize(&mut naive);
         // Aligned.
-        let mut aligned = synthesize_sequence(3, &seq, Intra::sequential());
+        let mut aligned = synthesize_sequence(3, &seq);
         peephole::optimize(&mut aligned);
         assert!(
             aligned.stats().cnot < naive.stats().cnot,
@@ -312,7 +281,7 @@ mod tests {
     #[test]
     fn identical_strings_collapse_to_one_gadget() {
         let seq = vec![(ps("XZX"), 0.2), (ps("XZX"), 0.3)];
-        let mut c = synthesize_sequence(3, &seq, Intra::sequential());
+        let mut c = synthesize_sequence(3, &seq);
         peephole::optimize(&mut c);
         let s = c.stats();
         assert_eq!(s.cnot, 4);

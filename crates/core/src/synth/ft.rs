@@ -20,7 +20,6 @@ use qcircuit::Circuit;
 
 use crate::schedule::Layer;
 use crate::synth::chain;
-use crate::synth::par::Intra;
 
 /// Result of FT-backend synthesis.
 #[derive(Clone, Debug)]
@@ -35,17 +34,15 @@ pub struct FtResult {
 /// Greedy pairing of adjacent layers by junction overlap (Alg. 2 lines
 /// 1–5). Returns for each layer index the index it is paired with (self if
 /// unpaired).
-fn pair_layers(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<usize> {
+fn pair_layers(n: usize, layers: &[Layer]) -> Vec<usize> {
     let mut partner: Vec<usize> = (0..layers.len()).collect();
     if layers.len() < 2 {
         return partner;
     }
-    // Per-layer signatures are independent → shard them across workers;
-    // the junction overlaps below are cheap popcounts over the results.
-    let sigs: Vec<(PauliString, PauliString)> =
-        intra.par_map("ft.signatures", layers, 32, |_, l| {
-            (l.front_signature(n), l.back_signature(n))
-        });
+    let sigs: Vec<(PauliString, PauliString)> = layers
+        .iter()
+        .map(|l| (l.front_signature(n), l.back_signature(n)))
+        .collect();
     let mut overlaps: Vec<(usize, usize)> = (0..layers.len() - 1)
         .map(|i| (sigs[i].1.overlap(&sigs[i + 1].0), i))
         .collect();
@@ -87,32 +84,24 @@ fn most_overlap_chain(
 }
 
 /// Orders all strings of the scheduled layers for synthesis (Alg. 2).
-/// The result is bit-identical for every worker count of `intra`:
-/// junctions are independent, and the per-junction argmax keeps its
-/// sequential first-max-wins scan order.
-pub fn order_strings(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(PauliString, f64)> {
-    let partner = pair_layers(n, layers, intra);
+pub fn order_strings(n: usize, layers: &[Layer]) -> Vec<(PauliString, f64)> {
+    let partner = pair_layers(n, layers);
     // Junction anchors: for a pair (i, i+1), the string pair with maximal
-    // overlap across the junction (Alg. 2 lines 7–9). This quadratic
-    // string × string sweep dominates FT synthesis on large lattices, and
-    // each junction is independent of the others.
-    let mut start_anchor: Vec<Option<PauliString>> = vec![None; layers.len()];
-    let mut end_anchor: Vec<Option<PauliString>> = vec![None; layers.len()];
-    let junctions: Vec<usize> = (0..layers.len()).filter(|&i| partner[i] == i + 1).collect();
-    let anchors = intra.par_map("ft.junctions", &junctions, 8, |_, &i| {
-        let (a, b) = (&layers[i], &layers[i + 1]);
-        let mut best: Option<(usize, PauliString, PauliString)> = None;
-        for ta in a.blocks.iter().flat_map(|bl| &bl.terms) {
-            for tb in b.blocks.iter().flat_map(|bl| &bl.terms) {
+    // overlap across the junction (Alg. 2 lines 7–9), first maximum wins.
+    // This quadratic string × string sweep dominates FT synthesis on
+    // large lattices.
+    let mut start_anchor: Vec<Option<&PauliString>> = vec![None; layers.len()];
+    let mut end_anchor: Vec<Option<&PauliString>> = vec![None; layers.len()];
+    for i in (0..layers.len()).filter(|&i| partner[i] == i + 1) {
+        let mut best: Option<(usize, &PauliString, &PauliString)> = None;
+        for ta in layers[i].blocks.iter().flat_map(|bl| &bl.terms) {
+            for tb in layers[i + 1].blocks.iter().flat_map(|bl| &bl.terms) {
                 let ov = ta.string.overlap(&tb.string);
-                if best.as_ref().is_none_or(|(bo, _, _)| ov > *bo) {
-                    best = Some((ov, ta.string.clone(), tb.string.clone()));
+                if best.is_none_or(|(bo, _, _)| ov > bo) {
+                    best = Some((ov, &ta.string, &tb.string));
                 }
             }
         }
-        best
-    });
-    for (&i, best) in junctions.iter().zip(anchors) {
         if let Some((_, sa, sb)) = best {
             end_anchor[i] = Some(sa);
             start_anchor[i + 1] = Some(sb);
@@ -123,17 +112,16 @@ pub fn order_strings(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(Pauli
     for (li, layer) in layers.iter().enumerate() {
         // Order blocks: a block containing the start anchor goes first, one
         // containing the end anchor goes last; others keep schedule order.
-        let contains = |bl: &crate::ir::PauliBlock, s: &Option<PauliString>| {
-            s.as_ref()
-                .is_some_and(|s| bl.terms.iter().any(|t| &t.string == s))
+        let contains = |bl: &crate::ir::PauliBlock, s: Option<&PauliString>| {
+            s.is_some_and(|s| bl.terms.iter().any(|t| &t.string == s))
         };
         let mut firsts = Vec::new();
         let mut mids = Vec::new();
         let mut lasts = Vec::new();
         for bl in &layer.blocks {
-            if contains(bl, &start_anchor[li]) && !contains(bl, &end_anchor[li]) {
+            if contains(bl, start_anchor[li]) && !contains(bl, end_anchor[li]) {
                 firsts.push(bl);
-            } else if contains(bl, &end_anchor[li]) && !contains(bl, &start_anchor[li]) {
+            } else if contains(bl, end_anchor[li]) && !contains(bl, start_anchor[li]) {
                 lasts.push(bl);
             } else {
                 mids.push(bl);
@@ -152,11 +140,11 @@ pub fn order_strings(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(Pauli
                 .map(|(i, t)| (t.string.clone(), bl.theta(i)))
                 .collect();
             let chained = match kind {
-                0 => most_overlap_chain(items, start_anchor[li].as_ref()),
+                0 => most_overlap_chain(items, start_anchor[li]),
                 2 => {
                     // Chain built from the end anchor, then reversed so the
                     // anchor faces the next layer.
-                    let mut rev = most_overlap_chain(items, end_anchor[li].as_ref());
+                    let mut rev = most_overlap_chain(items, end_anchor[li]);
                     rev.reverse();
                     rev
                 }
@@ -174,11 +162,10 @@ pub fn order_strings(n: usize, layers: &[Layer], intra: Intra<'_>) -> Vec<(Pauli
 
 /// Synthesizes scheduled layers for the FT backend, without the final
 /// peephole clean-up ([`crate::compile_observed`] runs it as its own
-/// stage). The circuit is bit-identical for every worker count
-/// of `intra`.
-pub fn synthesize(n: usize, layers: &[Layer], intra: Intra<'_>) -> FtResult {
-    let emitted = order_strings(n, layers, intra);
-    let circuit = chain::synthesize_sequence(n, &emitted, intra);
+/// stage).
+pub fn synthesize(n: usize, layers: &[Layer]) -> FtResult {
+    let emitted = order_strings(n, layers);
+    let circuit = chain::synthesize_sequence(n, &emitted);
     FtResult { circuit, emitted }
 }
 
@@ -192,7 +179,7 @@ mod tests {
 
     /// Synthesis plus the peephole clean-up a full compile runs.
     fn optimized(n: usize, layers: &[Layer]) -> FtResult {
-        let mut r = synthesize(n, layers, Intra::sequential());
+        let mut r = synthesize(n, layers);
         peephole::optimize(&mut r.circuit);
         r
     }
@@ -245,7 +232,7 @@ mod tests {
         let ir = ir_of(vec![vec!["XXXX"], vec!["XXXY"], vec!["ZZZZ"]]);
         // GCO order: XXXX, XXXY, ZZZZ. Junction overlaps: (0,1)=3, (1,2)=0.
         let layers = schedule::schedule_gco(&ir);
-        let partner = pair_layers(4, &layers, Intra::sequential());
+        let partner = pair_layers(4, &layers);
         assert_eq!(partner[0], 1);
         assert_eq!(partner[1], 0);
         assert_eq!(partner[2], 2);

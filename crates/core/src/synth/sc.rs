@@ -22,7 +22,6 @@ use qdevice::{CouplingMap, Layout, NoiseModel};
 use crate::ir::PauliBlock;
 use crate::schedule::Layer;
 use crate::synth::chain::{basis_in, basis_out};
-use crate::synth::par::Intra;
 
 /// Result of SC-backend synthesis: a hardware-conformant physical circuit
 /// plus the layout bookkeeping needed to interpret it.
@@ -337,7 +336,6 @@ fn process_block(
     emitted: &mut Vec<(PauliString, f64)>,
     prev_string: &mut Option<PauliString>,
     allowed: Option<&[bool]>,
-    intra: Intra<'_>,
 ) -> Result<Vec<usize>, Deferred> {
     let n_phys = device.num_qubits();
     let mut touched = vec![false; n_phys];
@@ -380,32 +378,19 @@ fn process_block(
         .map(|(i, t)| (t.string.clone(), block.theta(i)))
         .filter(|(s, _)| !s.is_identity())
         .collect();
-    // Per-item selection keys include the item index, so the key order is
-    // total and a chunked parallel min equals the sequential
-    // `min_by_key` exactly.
-    const ITEM_GRAIN: usize = 32;
     while !items.is_empty() {
-        let idx = {
-            let lay: &Layout = layout;
-            let prev: &Option<PauliString> = prev_string;
-            intra
-                .par_chunks("sc.select", &items, ITEM_GRAIN, |_, offset, chunk| {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(k, (s, _))| {
-                            let cost = routing_cost(s, device, lay);
-                            let overlap = prev.as_ref().map_or(0, |p| s.overlap(p));
-                            (cost, usize::MAX - overlap, offset + k)
-                        })
-                        .min()
-                        .expect("non-empty chunk")
-                })
-                .into_iter()
-                .min()
-                .expect("non-empty")
-                .2
-        };
+        // First minimum of (cost, MAX − overlap, index).
+        let idx = items
+            .iter()
+            .enumerate()
+            .map(|(k, (s, _))| {
+                let cost = routing_cost(s, device, layout);
+                let overlap = prev_string.as_ref().map_or(0, |p| s.overlap(p));
+                (cost, usize::MAX - overlap, k)
+            })
+            .min()
+            .expect("non-empty")
+            .2;
         if routing_cost(&items[idx].0, device, layout) > 0 {
             // Block-scope greedy SWAP search.
             let total = |layout: &Layout| -> u64 {
@@ -431,42 +416,20 @@ fn process_block(
                     }
                 }
             }
-            // Scoring a candidate clones the layout and re-routes every
-            // pending string — the expensive part — so candidates shard
-            // across workers. `max_by` keeps the *last* maximum, so the
-            // in-chunk fold uses `!= Less` and later chunks win the merge.
-            let swap_cmp = |x: &(usize, u64, (usize, usize)), y: &(usize, u64, (usize, usize))| {
-                x.0.cmp(&y.0).then(y.1.cmp(&x.1))
-            };
-            let scored = {
-                let lay: &Layout = layout;
-                intra
-                    .par_chunks("sc.swap_score", &cands, 8, |_, _, chunk| {
-                        let mut best: Option<(usize, u64, (usize, usize))> = None;
-                        for &(a, b) in chunk {
-                            let mut l = lay.clone();
-                            l.swap_physical(a, b);
-                            let free = items
-                                .iter()
-                                .filter(|(s, _)| routing_cost(s, device, &l) == 0)
-                                .count();
-                            let cand = (free, total(&l), (a, b));
-                            if best
-                                .as_ref()
-                                .is_none_or(|be| swap_cmp(&cand, be) != std::cmp::Ordering::Less)
-                            {
-                                best = Some(cand);
-                            }
-                        }
-                        best
-                    })
-                    .into_iter()
-                    .flatten()
-                    .fold(None::<(usize, u64, (usize, usize))>, |acc, c| match acc {
-                        Some(a) if swap_cmp(&c, &a) == std::cmp::Ordering::Less => Some(a),
-                        _ => Some(c),
-                    })
-            };
+            // Most strings made free, then lowest total cost; `max_by`
+            // keeps the last maximum.
+            let scored = cands
+                .iter()
+                .map(|&(a, b)| {
+                    let mut l = layout.clone();
+                    l.swap_physical(a, b);
+                    let free = items
+                        .iter()
+                        .filter(|(s, _)| routing_cost(s, device, &l) == 0)
+                        .count();
+                    (free, total(&l), (a, b))
+                })
+                .max_by(|x, y| x.0.cmp(&y.0).then(y.1.cmp(&x.1)));
             match scored {
                 Some((free, t, (a, b))) if free > base_free || t < base_total => {
                     circuit.push(Gate::Swap(a, b));
@@ -518,12 +481,8 @@ fn process_block(
 /// without the final peephole clean-up ([`crate::compile_observed`] runs
 /// it as its own stage).
 ///
-/// The block emission order is inherently sequential (the layout is
-/// carried from block to block), but the argbest scans inside each block —
-/// per-string selection and block-scope SWAP scoring — shard across the
-/// workers of `intra` with sequential tie semantics, so the result is
-/// bit-identical for every worker count. The initial layout is one
-/// sequential greedy pass, O(n) per placed qubit.
+/// Blocks are emitted in sequence, the layout carried from block to
+/// block. The initial layout is one greedy pass, O(n) per placed qubit.
 ///
 /// # Panics
 ///
@@ -534,7 +493,6 @@ pub fn synthesize(
     layers: &[Layer],
     device: &CouplingMap,
     noise: Option<&NoiseModel>,
-    intra: Intra<'_>,
 ) -> ScResult {
     assert!(
         device.is_connected(),
@@ -567,7 +525,6 @@ pub fn synthesize(
                     &mut emitted,
                     &mut prev_string,
                     None,
-                    intra,
                 )
                 .unwrap_or_else(|_| unreachable!("unconstrained blocks never defer"));
                 for p in nodes {
@@ -584,7 +541,6 @@ pub fn synthesize(
                     &mut emitted,
                     &mut prev_string,
                     Some(&free),
-                    intra,
                 ) {
                     Ok(nodes) => {
                         for p in nodes {
@@ -625,7 +581,6 @@ pub fn synthesize(
             &mut emitted,
             &mut prev_string,
             None,
-            intra,
         )
         .map_err(|_| unreachable!("unconstrained blocks never defer"));
     }
@@ -650,13 +605,12 @@ mod tests {
 
     /// The initial-layout greedy as it stood before the incremental
     /// rewrite: dense weights, every score re-summed over the whole placed
-    /// set. Kept verbatim (only its shard labels renamed) as the oracle
-    /// that pins `choose_initial_layout` to it bit for bit.
+    /// set. Kept as the oracle that pins `choose_initial_layout` to it bit
+    /// for bit.
     fn choose_initial_layout_reference(
         n_logical: usize,
         layers: &[Layer],
         device: &CouplingMap,
-        intra: Intra<'_>,
     ) -> Vec<usize> {
         let subgraph = device.most_connected_subgraph(n_logical);
         // Interaction weights: co-activity counts over all strings.
@@ -706,50 +660,35 @@ mod tests {
         l2p[seed] = free.remove(seat);
         placed.push(seed);
         // The two argbest scans below are O(candidates × placed) each and run
-        // once per placement — the cubic hot spot at 100+ logical qubits, and
-        // each candidate's score is independent. The chunked reductions
-        // replicate the sequential tie-breaking exactly: `max_by_key` keeps
-        // the *last* maximum (`>=` in-chunk, later chunks win the merge) and
-        // `min_by_key` keeps the *first* minimum (`<` in-chunk, earlier
-        // chunks win the merge).
-        const GRAIN: usize = 64;
+        // once per placement: `next` keeps the *last* maximum (`>=`), the
+        // seat the *first* minimum (`<`).
         while placed.len() < n_logical {
             // Next logical: strongest link into the placed set.
             let unplaced: Vec<usize> = (0..n_logical).filter(|&l| l2p[l] == usize::MAX).collect();
-            let next = intra
-                .par_chunks("reference.next", &unplaced, GRAIN, |_, _, chunk| {
-                    let mut best: Option<(u64, u64, usize)> = None;
-                    for &l in chunk {
-                        let w = placed.iter().map(|&p| weight[l][p]).sum::<u64>();
-                        if best.is_none_or(|(bw, bt, _)| (w, total[l]) >= (bw, bt)) {
-                            best = Some((w, total[l], l));
-                        }
+            let next = {
+                let mut best: Option<(u64, u64, usize)> = None;
+                for &l in &unplaced {
+                    let w = placed.iter().map(|&p| weight[l][p]).sum::<u64>();
+                    if best.is_none_or(|(bw, bt, _)| (w, total[l]) >= (bw, bt)) {
+                        best = Some((w, total[l], l));
                     }
-                    best.expect("non-empty chunk")
-                })
-                .into_iter()
-                .reduce(|acc, c| if (c.0, c.1) >= (acc.0, acc.1) { c } else { acc })
-                .expect("unplaced logical exists")
-                .2;
+                }
+                best.expect("unplaced logical exists").2
+            };
             // Seat minimizing weighted distance to its placed partners.
-            let fi = intra
-                .par_chunks("reference.seat", &free, GRAIN, |_, offset, chunk| {
-                    let mut best: Option<(u64, usize)> = None;
-                    for (k, &cand) in chunk.iter().enumerate() {
-                        let c = placed
-                            .iter()
-                            .map(|&p| weight[next][p] * u64::from(device.distance(cand, l2p[p])))
-                            .sum::<u64>();
-                        if best.is_none_or(|(bc, _)| c < bc) {
-                            best = Some((c, offset + k));
-                        }
+            let fi = {
+                let mut best: Option<(u64, usize)> = None;
+                for (k, &cand) in free.iter().enumerate() {
+                    let c = placed
+                        .iter()
+                        .map(|&p| weight[next][p] * u64::from(device.distance(cand, l2p[p])))
+                        .sum::<u64>();
+                    if best.is_none_or(|(bc, _)| c < bc) {
+                        best = Some((c, k));
                     }
-                    best.expect("non-empty chunk")
-                })
-                .into_iter()
-                .reduce(|acc, c| if c.0 < acc.0 { c } else { acc })
-                .expect("free seat exists")
-                .1;
+                }
+                best.expect("free seat exists").1
+            };
             l2p[next] = free.remove(fi);
             placed.push(next);
         }
@@ -771,7 +710,7 @@ mod tests {
     fn assert_layout_matches_reference(n: usize, layers: &[Layer], device: &CouplingMap) {
         assert_eq!(
             choose_initial_layout(n, layers, device),
-            choose_initial_layout_reference(n, layers, device, Intra::sequential()),
+            choose_initial_layout_reference(n, layers, device),
             "{n} logical qubits on {} physical",
             device.num_qubits()
         );
@@ -841,7 +780,7 @@ mod tests {
         device: &CouplingMap,
         noise: Option<&NoiseModel>,
     ) -> ScResult {
-        let mut r = synthesize(n, layers, device, noise, Intra::sequential());
+        let mut r = synthesize(n, layers, device, noise);
         peephole::optimize(&mut r.circuit);
         r
     }

@@ -82,7 +82,6 @@ fn ft_backend_preserves_semantics_gco() {
         let out = compile(
             &ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::GateCount,
                 backend: Backend::FaultTolerant,
             },
@@ -103,7 +102,6 @@ fn ft_backend_preserves_semantics_depth() {
         let out = compile(
             &ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::FaultTolerant,
             },
@@ -125,7 +123,6 @@ fn sc_backend_preserves_semantics_on_linear_device() {
         let out = compile(
             &ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &device,
@@ -158,7 +155,6 @@ fn sc_backend_preserves_semantics_on_grid_device() {
         let out = compile(
             &ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::GateCount,
                 backend: Backend::Superconducting {
                     device: &device,
@@ -214,7 +210,6 @@ fn single_gadget_matches_exponential_for_all_operators() {
             let out = compile(
                 &ir,
                 &CompileOptions {
-                    intra_threads: 1,
                     scheduler: Scheduler::GateCount,
                     backend: Backend::FaultTolerant,
                 },

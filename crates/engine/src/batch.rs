@@ -5,7 +5,8 @@
 //! counter and results land in their original slots, so output order is
 //! deterministic regardless of interleaving. Workers share the engine's
 //! compilation cache, so duplicate jobs inside one batch are compiled
-//! once.
+//! once. Each job compiles sequentially on its worker's thread, so this
+//! pool is all the parallelism a batch has.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -71,8 +72,7 @@ pub struct BatchResult {
 
 impl Engine {
     /// Compiles every job on up to [`Engine::threads`] scoped workers,
-    /// each with [`Engine::intra_budget`]`(workers)` synthesis workers. Results
-    /// come back in job order; per-job failures are values, not batch
+    /// one job per worker at a time. Results come back in job order; per-job failures are values, not batch
     /// failures — including panics, which are caught per job
     /// ([`CompileError::Panicked`]) so one bad job can neither kill its
     /// worker thread nor abort the rest of the batch.
@@ -81,15 +81,10 @@ impl Engine {
             return Vec::new();
         }
         let workers = self.worker_count(jobs.len());
-        let intra_budget = self.intra_budget(workers);
         let telemetry = self.telemetry();
         let batch_span = telemetry.span_with(
             "batch",
-            vec![
-                ("jobs", jobs.len().into()),
-                ("workers", workers.into()),
-                ("intra_budget", intra_budget.into()),
-            ],
+            vec![("jobs", jobs.len().into()), ("workers", workers.into())],
         );
         let batch_start = Instant::now();
         let next = AtomicUsize::new(0);
@@ -113,12 +108,7 @@ impl Engine {
                                 .into(),
                         )],
                     );
-                    let outcome = self.compile_budgeted(
-                        &job.ir,
-                        job.target.as_ref(),
-                        job.scheduler,
-                        intra_budget,
-                    );
+                    let outcome = self.compile_with(&job.ir, job.target.as_ref(), job.scheduler);
                     let wall = job_span.finish();
                     telemetry.record_duration("batch.job_wall_ns", wall);
                     telemetry.record_duration("batch.queue_wait_ns", queue_wait);

@@ -5,18 +5,15 @@
 //!
 //! ```text
 //! phc INPUT.pauli [--backend ft|manhattan|melbourne|linear:N|grid:RxC]
-//!                 [--scheduler auto|gco|do] [--intra-threads N]
-//!                 [--qasm OUT.qasm] [--report]
+//!                 [--scheduler auto|gco|do] [--qasm OUT.qasm] [--report]
 //!                 [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
 //! ```
 //!
 //! Any `INPUT` may be a `workload:NAME` pseudo-input instead of a file:
 //! the 31 Table 1 benchmark names (`workload:UCCSD-16`) or the scale
 //! lattices (`workload:Heisen-1000`, `workload:Ising-32x32`) generate
-//! their program in-process. `--intra-threads N` lets one compile's
-//! synthesis pass fan out over up to N workers (`0` = one per CPU), never
-//! more than the CPUs left per concurrent compile; the output circuit is
-//! bit-identical for every setting.
+//! their program in-process. `--report` adds the per-pass table and, on
+//! an SC backend, the initial and final layouts.
 //!
 //! Batch mode (compiles many programs across a worker pool and emits a
 //! JSON report with per-pass instrumentation, cache counters, and latency
@@ -24,7 +21,7 @@
 //!
 //! ```text
 //! phc batch INPUT1.pauli INPUT2.pauli … [--backend …] [--scheduler …]
-//!           [--threads N] [--intra-threads N] [--json REPORT.json]
+//!           [--threads N] [--json REPORT.json]
 //!           [--cache-dir DIR] [--cache-entries N] [--cache-bytes N]
 //!           [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
 //! ```
@@ -39,8 +36,7 @@
 //!
 //! ```text
 //! phc serve [--listen 127.0.0.1:7878] [--backend …] [--scheduler …]
-//!           [--threads N] [--intra-threads N] [--queue N] [--deadline-ms N]
-//!           [--watchdog-ms N]
+//!           [--threads N] [--queue N] [--deadline-ms N] [--watchdog-ms N]
 //!           [--cache-dir DIR] [--cache-entries N] [--cache-bytes N]
 //!           [--fault-plan SPEC]
 //!           [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]
@@ -127,7 +123,6 @@ const FLAGS: &[(&str, bool)] = &[
     ("--scheduler", true),
     ("--qasm", true),
     ("--threads", true),
-    ("--intra-threads", true),
     ("--json", true),
     ("--cache-dir", true),
     ("--cache-entries", true),
@@ -194,18 +189,6 @@ fn parse_scheduler(args: &[String]) -> Result<Scheduler, String> {
     match value_of(args, "--scheduler") {
         None => Ok(Scheduler::Auto),
         Some(spec) => proto::parse_scheduler_spec(&spec),
-    }
-}
-
-/// `--intra-threads`: workers one compile's synthesis pass may use
-/// (`0` = one per CPU). `None` when the flag is absent (sequential).
-fn parse_intra_threads(args: &[String]) -> Result<Option<usize>, String> {
-    match value_of(args, "--intra-threads") {
-        None => Ok(None),
-        Some(t) => t
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad --intra-threads `{t}`")),
     }
 }
 
@@ -287,7 +270,7 @@ fn parse_fault(args: &[String]) -> Result<Fault, String> {
 }
 
 /// The collecting engine batch and serve modes run: `--cache-*`,
-/// `--fault-plan`, `--threads`, and `--intra-threads` applied.
+/// `--fault-plan` and `--threads` applied.
 fn pool_engine(
     args: &[String],
     scheduler: Scheduler,
@@ -301,9 +284,6 @@ fn pool_engine(
     if let Some(t) = value_of(args, "--threads") {
         let t: usize = t.parse().map_err(|_| format!("bad thread count `{t}`"))?;
         engine = engine.with_threads(t);
-    }
-    if let Some(t) = parse_intra_threads(args)? {
-        engine = engine.with_intra_threads(t);
     }
     Ok(engine)
 }
@@ -347,9 +327,9 @@ fn run_batch(args: &[String]) -> Result<(), String> {
     if files.is_empty() {
         return Err(
             "usage: phc batch INPUT1.pauli INPUT2.pauli … [--backend B] [--scheduler S] \
-             [--threads N] [--intra-threads N] [--json OUT.json] [--cache-dir DIR] \
-             [--cache-entries N] [--cache-bytes N] [--trace-out TRACE.json] \
-             [--metrics-out METRICS.jsonl] (INPUT may be workload:NAME)"
+             [--threads N] [--json OUT.json] [--cache-dir DIR] [--cache-entries N] \
+             [--cache-bytes N] [--trace-out TRACE.json] [--metrics-out METRICS.jsonl] \
+             (INPUT may be workload:NAME)"
                 .into(),
         );
     }
@@ -440,7 +420,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     if !positionals(args)?.is_empty() {
         return Err(
             "usage: phc serve [--listen ADDR] [--backend B] [--scheduler S] [--threads N] \
-             [--intra-threads N] [--queue N] [--deadline-ms N] [--watchdog-ms N] \
+             [--queue N] [--deadline-ms N] [--watchdog-ms N] \
              [--cache-dir DIR] [--cache-entries N] [--cache-bytes N] [--fault-plan SPEC] \
              [--trace-out TRACE.json] [--metrics-out METRICS.jsonl]"
                 .into(),
@@ -655,7 +635,7 @@ fn run_submit(args: &[String]) -> Result<(), (u8, String)> {
 fn run_single(args: &[String]) -> Result<(), String> {
     let input = positionals(args)?.into_iter().next().ok_or(
         "usage: phc INPUT.pauli [--backend ft|manhattan|melbourne|linear:N|grid:RxC] \
-         [--scheduler auto|gco|do] [--intra-threads N] [--qasm OUT.qasm] [--report] \
+         [--scheduler auto|gco|do] [--qasm OUT.qasm] [--report] \
          [--trace-out TRACE.json] [--metrics-out METRICS.jsonl] (INPUT may be workload:NAME)\n\
          \x20      phc batch INPUT… [--threads N] [--json OUT.json]",
     )?;
@@ -675,12 +655,9 @@ fn run_single(args: &[String]) -> Result<(), String> {
     )?;
 
     let collector = Arc::new(Collector::new());
-    let mut engine = Engine::new(Pipeline::standard(scheduler), target)
+    let engine = Engine::new(Pipeline::standard(scheduler), target)
         .with_telemetry(Telemetry::attached(Arc::clone(&collector)))
         .with_fault(parse_fault(args)?);
-    if let Some(t) = parse_intra_threads(args)? {
-        engine = engine.with_intra_threads(t);
-    }
     let out = engine
         .compile_with(&ir, None, None)
         .map_err(|e| e.to_string())?;
@@ -697,10 +674,10 @@ fn run_single(args: &[String]) -> Result<(), String> {
     );
     if flag_present(args, "--report") {
         print!("{}", out.report.table());
-    }
-    if let (Some(init), Some(fin)) = (&out.compiled.initial_l2p, &out.compiled.final_l2p) {
-        println!("initial layout: {init:?}");
-        println!("final   layout: {fin:?}");
+        if let (Some(init), Some(fin)) = (&out.compiled.initial_l2p, &out.compiled.final_l2p) {
+            println!("initial layout: {init:?}");
+            println!("final   layout: {fin:?}");
+        }
     }
     if let Some(path) = value_of(args, "--qasm") {
         let qasm = to_qasm(

@@ -3,8 +3,9 @@
 //! and recorded. Direct compiles, batches ([`crate::batch`]) and the
 //! compile service ([`crate::serve`]) all run it.
 
+use std::cell::RefCell;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use paulihedral::ir::PauliIR;
 use paulihedral::{
@@ -15,8 +16,7 @@ use ph_telemetry::Telemetry;
 use qcircuit::CircuitStats;
 
 use crate::cache::{
-    fingerprint_ir, relock, CacheConfig, CacheEntry, CacheOutcome, CacheStats, CompileCache,
-    Fingerprint,
+    fingerprint_ir, CacheConfig, CacheEntry, CacheOutcome, CacheStats, CompileCache, Fingerprint,
 };
 use crate::fault::{Fault, WorkerFault};
 use crate::pipeline::Pipeline;
@@ -46,26 +46,15 @@ pub struct Engine {
     cache_enabled: bool,
     telemetry: Telemetry,
     threads: usize,
-    intra_threads: usize,
     fault: Fault,
-}
-
-/// The machine's CPU count (`available_parallelism`, at least 1), read
-/// once per process: on Linux the query reads cgroup files, which a
-/// per-request budget must not pay for.
-fn cpus() -> usize {
-    static CPUS: OnceLock<usize> = OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// The engine's observer of one compile: each stage runs inside a span
 /// of its name, is timed into `pass.<name>_ns`, and becomes a
-/// [`PassRecord`] whose snapshots are mapped circuit stats; each parallel
-/// synthesis shard runs inside a `shard:<region>` span (a per-thread row
-/// in the exported trace).
+/// [`PassRecord`] whose snapshots are mapped circuit stats.
 struct Recorder<'t> {
     telemetry: &'t Telemetry,
-    passes: Mutex<Vec<PassRecord>>,
+    passes: RefCell<Vec<PassRecord>>,
 }
 
 impl Observer for Recorder<'_> {
@@ -76,7 +65,7 @@ impl Observer for Recorder<'_> {
         let wall = span.finish();
         self.telemetry
             .record_duration(&format!("pass.{name}_ns"), wall);
-        let mut passes = relock(&self.passes);
+        let mut passes = self.passes.borrow_mut();
         let before = passes
             .last()
             .map_or_else(CircuitStats::default, |p| p.after);
@@ -104,26 +93,19 @@ impl Observer for Recorder<'_> {
                 Some(c),
             ),
         };
-        let mut passes = relock(&self.passes);
+        let mut passes = self.passes.borrow_mut();
         let record = passes.last_mut().expect("after_stage follows a stage");
         record.note = note;
         if let Some(c) = circuit {
             record.after = c.mapped_stats();
         }
     }
-
-    fn shard(&self, region: &str, shard: usize, work: &mut dyn FnMut()) {
-        let _span = self
-            .telemetry
-            .span_with(format!("shard:{region}"), vec![("shard", shard.into())]);
-        work();
-    }
 }
 
 impl Engine {
     /// An engine with an unbounded, memory-only cache (see
     /// [`Engine::with_cache_config`] for bounds and a disk tier), one
-    /// worker per available CPU, and sequential synthesis.
+    /// worker per available CPU.
     pub fn new(pipeline: Pipeline, target: Target) -> Engine {
         Engine {
             pipeline,
@@ -131,8 +113,7 @@ impl Engine {
             cache: CompileCache::new(),
             cache_enabled: true,
             telemetry: Telemetry::disabled(),
-            threads: cpus(),
-            intra_threads: 1,
+            threads: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
             fault: Fault::disabled(),
         }
     }
@@ -155,30 +136,11 @@ impl Engine {
         self.threads.min(jobs)
     }
 
-    /// Sets the intra-compile worker knob for the synthesis stage: `1` (the
-    /// default) keeps synthesis sequential, `0` asks for one worker per
-    /// available CPU; [`Engine::intra_budget`] clamps it to the machine.
-    /// Purely a wall-clock knob — the artifact is bit-identical for every
-    /// setting, so it is excluded from cache keys and cached artifacts
-    /// stay shareable across settings. Builder-style.
-    pub fn with_intra_threads(mut self, intra_threads: usize) -> Engine {
-        self.intra_threads = intra_threads;
+    /// Returns the engine unchanged: synthesis is sequential and has no
+    /// worker knob. It remains only because the service benchmark
+    /// (`perfbench/src/replay.rs`) calls it.
+    pub fn with_intra_threads(self, _intra_threads: usize) -> Engine {
         self
-    }
-
-    /// The synthesis worker budget each compile gets while `workers`
-    /// compiles run side by side: the intra-compile knob (`0` resolved to
-    /// the CPU count) clamped to `max(1, cpus / workers)`, so concurrent
-    /// compiles never oversubscribe the machine. A direct
-    /// [`Engine::compile_with`] counts as one worker, a batch as the
-    /// workers it spawns, the compile service as [`Engine::threads`].
-    pub fn intra_budget(&self, workers: usize) -> usize {
-        let cpus = cpus();
-        let requested = match self.intra_threads {
-            0 => cpus,
-            t => t,
-        };
-        requested.min((cpus / workers.max(1)).max(1))
     }
 
     /// Replaces the cache with an empty one using `config` (entry/byte
@@ -247,8 +209,7 @@ impl Engine {
     }
 
     /// Compiles one program with optional per-request target and
-    /// scheduler overrides, using the intra-compile budget of a lone
-    /// compile ([`Engine::intra_budget`]`(1)`).
+    /// scheduler overrides.
     ///
     /// Concurrent calls with the same request key compile once: one
     /// caller runs the pipeline while the rest wait and share its `Arc`
@@ -270,35 +231,6 @@ impl Engine {
         ir: &PauliIR,
         target: Option<&Target>,
         scheduler: Option<Scheduler>,
-    ) -> Result<EngineOutput, CompileError> {
-        self.compile_budgeted(ir, target, scheduler, self.intra_budget(1))
-    }
-
-    /// The same call as [`Engine::compile_with`]. It remains only because
-    /// the service benchmark (`perfbench/src/replay.rs`) calls it by this
-    /// name.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::compile_with`].
-    pub fn compile_caught(
-        &self,
-        ir: &PauliIR,
-        target: Option<&Target>,
-        scheduler: Option<Scheduler>,
-    ) -> Result<EngineOutput, CompileError> {
-        self.compile_with(ir, target, scheduler)
-    }
-
-    /// The one compile implementation: [`Engine::compile_with`] with an
-    /// explicit intra-compile worker budget, already resolved by
-    /// [`Engine::intra_budget`] for the caller's worker count.
-    pub(crate) fn compile_budgeted(
-        &self,
-        ir: &PauliIR,
-        target: Option<&Target>,
-        scheduler: Option<Scheduler>,
-        intra_budget: usize,
     ) -> Result<EngineOutput, CompileError> {
         // `&Engine` + `&PauliIR` are only conditionally unwind-safe, but
         // the shared state they reach (the cache) is designed for it: its
@@ -324,7 +256,6 @@ impl Engine {
             let options = CompileOptions {
                 scheduler: scheduler.unwrap_or(self.pipeline.scheduler()),
                 backend: target.as_backend(),
-                intra_threads: intra_budget,
             };
             // No cache ⇒ no reason to pay IR fingerprinting on every
             // request; benchmark flows measure pure compile time.
@@ -352,6 +283,22 @@ impl Engine {
         .unwrap_or_else(|payload| Err(CompileError::Panicked(panic_message(payload.as_ref()))))
     }
 
+    /// The same call as [`Engine::compile_with`]. It remains only because
+    /// the service benchmark (`perfbench/src/replay.rs`) calls it by this
+    /// name.
+    ///
+    /// # Errors
+    ///
+    /// See [`Engine::compile_with`].
+    pub fn compile_caught(
+        &self,
+        ir: &PauliIR,
+        target: Option<&Target>,
+        scheduler: Option<Scheduler>,
+    ) -> Result<EngineOutput, CompileError> {
+        self.compile_with(ir, target, scheduler)
+    }
+
     /// Compiles under the engine's observer (the cache-miss path).
     fn execute(
         &self,
@@ -362,13 +309,10 @@ impl Engine {
         let span = self.telemetry.span("pipeline");
         let recorder = Recorder {
             telemetry: &self.telemetry,
-            passes: Mutex::new(Vec::with_capacity(3)),
+            passes: RefCell::new(Vec::with_capacity(3)),
         };
         let compiled = compile_observed(ir, options, Some(&recorder))?;
-        let passes = recorder
-            .passes
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner());
+        let passes = recorder.passes.into_inner();
         Ok(CacheEntry {
             compiled: Arc::new(compiled),
             report: CompileReport {

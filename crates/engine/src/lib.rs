@@ -46,8 +46,10 @@
 //!    no-op, so uninstrumented compiles pay effectively nothing.
 //!
 //! One [`Engine`] drives all of it: a direct [`Engine::compile_with`], a
-//! batch, and every service worker run the same compile path, and each
-//! gets its synthesis worker budget from [`Engine::intra_budget`].
+//! batch, and every service worker run the same compile path. Each
+//! compile runs sequentially on its calling thread; parallelism lives
+//! across requests, with up to [`Engine::threads`] batch jobs or service
+//! workers compiling at once.
 //!
 //! ```
 //! use ph_engine::{CompileJob, Engine, Pipeline, Target};

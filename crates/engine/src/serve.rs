@@ -6,9 +6,9 @@
 //! [`Engine::threads`] workers pull jobs off the queue, compile them
 //! through the shared single-flight cache, and **stream each report back
 //! the moment it finishes** — no batch barrier, and results from different
-//! connections interleave freely. Each compile gets
-//! [`Engine::intra_budget`]`(threads)` synthesis workers, so the service
-//! never oversubscribes the machine.
+//! connections interleave freely. Each compile runs on its one worker
+//! thread, so the service never uses more than [`Engine::threads`] CPUs
+//! for compiles.
 //!
 //! Robustness properties, all tested end-to-end (and under injected
 //! faults by the chaos suite):
@@ -39,7 +39,7 @@
 //!   [`Server::run`] returns.
 //!
 //! Telemetry: each connection runs under a `conn` span, each job under a
-//! `request` span (with `id`/`conn`/`queue_wait_us`/`intra_budget` args)
+//! `request` span (with `id`/`conn`/`queue_wait_us` args)
 //! that the engine's `compile` span nests inside, plus `serve.request` /
 //! `serve.reject` / `serve.deadline_miss` / `serve.cancelled` /
 //! `serve.watchdog_timeout` instants and `serve.queue_wait_ns` /
@@ -516,7 +516,6 @@ impl Inner {
     /// report (unless the watchdog already answered for us).
     fn worker(self: &Arc<Inner>) {
         let telemetry = self.engine.telemetry().clone();
-        let intra_budget = self.engine.intra_budget(self.engine.threads());
         while let Some(job) = self.pop() {
             let queue_wait = job.enqueued.elapsed();
             let span = telemetry.span_with(
@@ -530,7 +529,6 @@ impl Inner {
                             .unwrap_or(u64::MAX)
                             .into(),
                     ),
-                    ("intra_budget", intra_budget.into()),
                 ],
             );
             if job.ticket.conn.is_dead() {
@@ -550,12 +548,9 @@ impl Inner {
             } else {
                 relock(&self.running).push((Arc::clone(&job.ticket), Instant::now()));
                 let t0 = Instant::now();
-                let outcome = self.engine.compile_budgeted(
-                    &job.ir,
-                    job.target.as_ref(),
-                    job.req.scheduler,
-                    intra_budget,
-                );
+                let outcome =
+                    self.engine
+                        .compile_with(&job.ir, job.target.as_ref(), job.req.scheduler);
                 let wall = t0.elapsed();
                 relock(&self.running).retain(|(t, _)| !Arc::ptr_eq(t, &job.ticket));
                 let artifact = match (&outcome, job.req.artifact) {

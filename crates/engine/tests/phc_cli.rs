@@ -1,5 +1,6 @@
-//! Process-level tests of the `phc` binary: batch exit codes, and two
-//! processes sharing one `--cache-dir` through the serve/submit pair.
+//! Process-level tests of the `phc` binary: SC layout printing, batch exit
+//! codes, and two processes sharing one `--cache-dir` through the
+//! serve/submit pair.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -39,6 +40,34 @@ fn wait_with_timeout(child: &mut Child, timeout: Duration) -> std::process::Exit
         }
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// An SC run prints its initial and final layouts only under `--report`.
+#[test]
+fn sc_layouts_print_only_under_report() {
+    let dir = scratch("layouts");
+    let prog = write_program(&dir, "prog.pauli", "{(ZZZZ, 0.5), 1.0};\n");
+    let run = |extra: &[&str]| {
+        let out = Command::new(PHC)
+            .args([prog.as_str(), "--backend", "linear:4"])
+            .args(extra)
+            .output()
+            .expect("run phc");
+        assert!(out.status.success(), "phc failed");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let layout_lines = |stdout: &str| {
+        stdout
+            .lines()
+            .filter(|l| l.contains("layout:"))
+            .map(|l| l.split(':').next().unwrap().to_string())
+            .collect::<Vec<_>>()
+    };
+    assert!(layout_lines(&run(&[])).is_empty());
+    assert_eq!(
+        layout_lines(&run(&["--report"])),
+        ["initial layout", "final   layout"]
+    );
 }
 
 #[test]

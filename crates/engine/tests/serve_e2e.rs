@@ -4,7 +4,6 @@
 //! panics) delivered as values without killing the server.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -13,10 +12,9 @@ use paulihedral::CompileError;
 use ph_engine::json::Json;
 use ph_engine::proto::{self, CompileRequest, Request};
 use ph_engine::{
-    Collector, CompileJob, Connection, Engine, Fault, FaultPlan, Pipeline, ServeConfig, ServeStats,
-    Server, ServerHandle, Target, Telemetry,
+    CompileJob, Connection, Engine, Fault, FaultPlan, Pipeline, ServeConfig, ServeStats, Server,
+    ServerHandle, Target,
 };
-use ph_telemetry::{ArgValue, EventKind};
 use workloads::suite::{self, BackendClass};
 
 const TINY_IR: &str = "{(ZZY, 0.5), 1.0};\n{(XXI, 0.3), 1.0};\n";
@@ -490,36 +488,4 @@ fn wire_stats_expose_service_and_cache_counters() {
 
     handle.shutdown();
     runner.join().expect("server thread");
-}
-
-/// Service workers compile with the engine's budget for [`Engine::threads`]
-/// concurrent compiles: one worker with the intra knob at `0` gives every
-/// request one synthesis worker per CPU, recorded on its `request` span.
-#[test]
-fn serve_compiles_with_the_engines_intra_budget() {
-    let collector = Arc::new(Collector::new());
-    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
-        .with_threads(1)
-        .with_intra_threads(0)
-        .with_telemetry(Telemetry::attached(Arc::clone(&collector)));
-    let expected = engine.intra_budget(1);
-    let cpus = thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(expected, cpus, "knob 0 resolves to the CPU count");
-    let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
-    let mut client = Connection::connect(addr).expect("connect");
-    for id in 1..=2 {
-        client.send(&compile_req(id, TINY_IR)).expect("send");
-        assert!(is_ok_report(&recv(&mut client)));
-    }
-    handle.shutdown();
-    runner.join().expect("server thread");
-
-    let budgets: Vec<ArgValue> = collector
-        .events()
-        .into_iter()
-        .filter(|e| e.name == "request" && e.kind == EventKind::Begin)
-        .filter_map(|e| e.args.into_iter().find(|(k, _)| *k == "intra_budget"))
-        .map(|(_, v)| v)
-        .collect();
-    assert_eq!(budgets, vec![ArgValue::U64(expected as u64); 2]);
 }

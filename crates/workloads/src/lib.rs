@@ -13,7 +13,7 @@
 //! * [`graphs`] — seeded random graph generators,
 //! * [`suite`] — the named benchmark table tying it all together,
 //! * [`scale`] — beyond-Table-1 lattices at 100–1000+ qubits for the
-//!   intra-compile parallelism benchmarks.
+//!   scaling benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! Beyond-Table-1 scale workloads: condensed-matter lattices at 100 to
-//! 1000+ qubits, for the intra-compile parallelism benchmarks and the
-//! `phc` `workload:` pseudo-inputs.
+//! 1000+ qubits, for the scaling benchmarks and the `phc` `workload:`
+//! pseudo-inputs.
 //!
 //! Names are `<model>-<dims>` where `<model>` is `Ising` or `Heisen` and
 //! `<dims>` is a single site count (`Ising-1000` — a 1000-site chain) or

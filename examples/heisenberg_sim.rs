@@ -18,7 +18,6 @@ fn main() {
     let out = compile(
         &small,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::Depth,
             backend: Backend::FaultTolerant,
         },
@@ -37,7 +36,6 @@ fn main() {
         let out = compile(
             &chain,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler,
                 backend: Backend::FaultTolerant,
             },

@@ -34,7 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ft = compile(
         &ir,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::GateCount,
             backend: Backend::FaultTolerant,
         },
@@ -50,7 +49,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sc = compile(
         &ir,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::Depth,
             backend: Backend::Superconducting {
                 device: &device,

@@ -27,7 +27,6 @@ fn main() {
     let ph = compile(
         &ir,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::Depth,
             backend: Backend::Superconducting {
                 device: &device,

@@ -60,7 +60,6 @@ fn batch_engine_is_bit_identical_to_sequential_compile_on_all_31_benchmarks() {
         let sequential = try_compile(
             &b.ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: suite_scheduler(class),
                 backend,
             },

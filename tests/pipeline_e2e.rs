@@ -16,7 +16,6 @@ fn every_sc_benchmark_compiles_conformant_on_manhattan() {
         let out = compile(
             &b.ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &device,
@@ -57,7 +56,6 @@ fn ph_beats_naive_plus_router_on_every_small_sc_benchmark() {
         let ph = compile(
             &b.ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting {
                     device: &device,
@@ -86,7 +84,6 @@ fn ph_beats_tk_on_uccsd_when_mapped() {
     let ph = compile(
         &b.ir,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::Depth,
             backend: Backend::Superconducting {
                 device: &device,
@@ -112,7 +109,6 @@ fn do_scheduling_crushes_depth_on_spin_chains() {
     let gco = compile(
         &b.ir,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::GateCount,
             backend: Backend::FaultTolerant,
         },
@@ -120,7 +116,6 @@ fn do_scheduling_crushes_depth_on_spin_chains() {
     let do_ = compile(
         &b.ir,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::Depth,
             backend: Backend::FaultTolerant,
         },
@@ -142,7 +137,6 @@ fn compiled_gate_counts_never_exceed_naive() {
         let out = compile(
             &b.ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::GateCount,
                 backend: Backend::FaultTolerant,
             },

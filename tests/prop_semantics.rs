@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn ft_compilation_is_exact(ir in arb_program(), depth_sched in any::<bool>()) {
         let scheduler = if depth_sched { Scheduler::Depth } else { Scheduler::GateCount };
-        let out = compile(&ir, &CompileOptions { intra_threads: 1, scheduler, backend: Backend::FaultTolerant });
+        let out = compile(&ir, &CompileOptions { scheduler, backend: Backend::FaultTolerant });
         let exp = expected(&ir, &out.emitted);
         prop_assert!(equal_up_to_phase(&circuit_unitary(&out.circuit), &exp, 1e-8));
     }
@@ -93,7 +93,7 @@ proptest! {
     fn ft_plus_generic_cleanup_is_exact(ir in arb_program()) {
         let out = compile(
             &ir,
-            &CompileOptions { intra_threads: 1, scheduler: Scheduler::GateCount, backend: Backend::FaultTolerant },
+            &CompileOptions { scheduler: Scheduler::GateCount, backend: Backend::FaultTolerant },
         );
         let exp = expected(&ir, &out.emitted);
         let l3 = generic::qiskit_l3_like(&out.circuit, Mapping::None);
@@ -108,7 +108,6 @@ proptest! {
         let out = compile(
             &ir,
             &CompileOptions {
-                intra_threads: 1,
                 scheduler: Scheduler::Depth,
                 backend: Backend::Superconducting { device: &device, noise: None },
             },

@@ -63,7 +63,6 @@ fn compiled_ansatz_matches_logical_success_probability() {
     let ph = compile(
         &ir,
         &CompileOptions {
-            intra_threads: 1,
             scheduler: Scheduler::Depth,
             backend: Backend::Superconducting {
                 device: &device,
