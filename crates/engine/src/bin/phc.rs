@@ -86,7 +86,10 @@
 //! spans with the pass spans nested inside them and cache events on the
 //! timeline. `--metrics-out` writes the same stream as JSONL (one JSON
 //! object per line: every span/instant event, then final
-//! counter/gauge/histogram values).
+//! counter/gauge/histogram values). In serve and single modes these two
+//! flags are what turn recording on: without them no events are kept, so
+//! a long-running server does not grow with its request count. Batch mode
+//! always records, because its JSON report carries latency percentiles.
 //!
 //! Example input file:
 //!
@@ -269,18 +272,29 @@ fn parse_fault(args: &[String]) -> Result<Fault, String> {
     }
 }
 
-/// The collecting engine batch and serve modes run: `--cache-*`,
-/// `--fault-plan` and `--threads` applied.
+/// Telemetry that records only when `--trace-out` or `--metrics-out` will
+/// export it; otherwise the disabled handle, which keeps nothing.
+fn export_telemetry(args: &[String]) -> Telemetry {
+    let export = |flag| value_of(args, flag).is_some();
+    if export("--trace-out") || export("--metrics-out") {
+        Telemetry::attached(Arc::new(Collector::new()))
+    } else {
+        Telemetry::disabled()
+    }
+}
+
+/// The engine batch and serve modes run: `--cache-*`, `--fault-plan` and
+/// `--threads` applied.
 fn pool_engine(
     args: &[String],
     scheduler: Scheduler,
     target: Target,
-    collector: &Arc<Collector>,
+    telemetry: Telemetry,
 ) -> Result<Engine, String> {
     let mut engine = Engine::new(Pipeline::standard(scheduler), target)
         .with_cache_config(parse_cache_config(args)?)
         .with_fault(parse_fault(args)?)
-        .with_telemetry(Telemetry::attached(Arc::clone(collector)));
+        .with_telemetry(telemetry);
     if let Some(t) = value_of(args, "--threads") {
         let t: usize = t.parse().map_err(|_| format!("bad thread count `{t}`"))?;
         engine = engine.with_threads(t);
@@ -308,7 +322,10 @@ fn parse_cache_config(args: &[String]) -> Result<CacheConfig, String> {
 }
 
 /// Writes the `--trace-out` / `--metrics-out` exports, if requested.
-fn write_exports(args: &[String], collector: &Collector) -> Result<(), String> {
+fn write_exports(args: &[String], telemetry: &Telemetry) -> Result<(), String> {
+    let Some(collector) = telemetry.collector() else {
+        return Ok(());
+    };
     if let Some(path) = value_of(args, "--trace-out") {
         std::fs::write(&path, export::chrome_trace(collector))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -346,10 +363,10 @@ fn run_batch(args: &[String]) -> Result<(), String> {
         max_qubits,
     )?;
 
-    // Batch runs always collect: the report's percentiles come from the
-    // same telemetry stream --trace-out/--metrics-out export.
+    // Batch runs always collect: the report's percentiles come from it.
     let collector = Arc::new(Collector::new());
-    let engine = pool_engine(args, scheduler, target, &collector)?;
+    let telemetry = Telemetry::attached(Arc::clone(&collector));
+    let engine = pool_engine(args, scheduler, target, telemetry)?;
     let results = engine.compile_all(jobs);
 
     let mut failures = 0;
@@ -407,7 +424,7 @@ fn run_batch(args: &[String]) -> Result<(), String> {
         }
         _ => print!("{json}"),
     }
-    write_exports(args, &collector)?;
+    write_exports(args, engine.telemetry())?;
     if failures > 0 {
         return Err(format!("{failures} job(s) failed"));
     }
@@ -430,8 +447,8 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     // The server's default target; per-request `backend` specs override it.
     let target = Target::parse_spec(value_of(args, "--backend").as_deref().unwrap_or("ft"), 0)?;
 
-    let collector = Arc::new(Collector::new());
-    let engine = pool_engine(args, scheduler, target, &collector)?;
+    let telemetry = export_telemetry(args);
+    let engine = pool_engine(args, scheduler, target, telemetry.clone())?;
 
     let mut config = ServeConfig::default();
     if let Some(q) = value_of(args, "--queue") {
@@ -477,7 +494,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
         stats.cancelled,
         stats.watchdog_timeouts
     );
-    write_exports(args, &collector)?;
+    write_exports(args, &telemetry)?;
     Ok(())
 }
 
@@ -654,9 +671,8 @@ fn run_single(args: &[String]) -> Result<(), String> {
         ir.num_qubits(),
     )?;
 
-    let collector = Arc::new(Collector::new());
     let engine = Engine::new(Pipeline::standard(scheduler), target)
-        .with_telemetry(Telemetry::attached(Arc::clone(&collector)))
+        .with_telemetry(export_telemetry(args))
         .with_fault(parse_fault(args)?);
     let out = engine
         .compile_with(&ir, None, None)
@@ -687,7 +703,7 @@ fn run_single(args: &[String]) -> Result<(), String> {
         std::fs::write(&path, qasm).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    write_exports(args, &collector)?;
+    write_exports(args, engine.telemetry())?;
     Ok(())
 }
 

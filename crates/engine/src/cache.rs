@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use paulihedral::ir::PauliIR;
@@ -255,6 +255,19 @@ pub(crate) fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A poison-tolerant [`Condvar::wait_while`]: blocks while `blocked`
+/// holds, recovering the guard from poisoning as [`relock`] does.
+pub(crate) fn rewait<'a, T>(
+    cv: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    mut blocked: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    while blocked(&mut guard) {
+        guard = cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+    }
+    guard
 }
 
 /// One LRU slot: the entry, its charged cost, and its neighbors in the
@@ -786,13 +799,9 @@ impl CompileCache {
             if !leader {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.mark("cache.coalesce", &[]);
-                let mut state = relock(&flight.state);
-                while matches!(*state, FlightState::Pending) {
-                    state = flight
-                        .done
-                        .wait(state)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                }
+                let state = rewait(&flight.done, relock(&flight.state), |s| {
+                    matches!(s, FlightState::Pending)
+                });
                 match &*state {
                     FlightState::Done(entry) => {
                         return Ok((entry.clone(), CacheOutcome::Coalesced))

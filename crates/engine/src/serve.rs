@@ -36,18 +36,25 @@
 //! * **Graceful drain.** A `shutdown` request (or [`ServerHandle::shutdown`])
 //!   stops accepting connections and new work, but every job already
 //!   accepted is answered (compiled, cancelled, or timed out) before
-//!   [`Server::run`] returns.
+//!   [`Server::run`] returns. The barrier is the live connections' own
+//!   pending counts: each accepted job belongs to exactly one of them.
+//! * **Only live state.** Each connection's detached reader removes its
+//!   connection from the live map after saying goodbye, so a closed
+//!   connection keeps no socket and no thread.
 //!
-//! Telemetry: each connection runs under a `conn` span, each job under a
-//! `request` span (with `id`/`conn`/`queue_wait_us` args)
+//! Telemetry exists only when the engine has a collector attached
+//! ([`Engine::with_telemetry`]); without one, spans are timers that record
+//! nothing. With one, each connection runs under a `conn` span, each job
+//! under a `request` span (with `id`/`conn`/`queue_wait_us` args)
 //! that the engine's `compile` span nests inside, plus `serve.request` /
 //! `serve.reject` / `serve.deadline_miss` / `serve.cancelled` /
 //! `serve.watchdog_timeout` instants and `serve.queue_wait_ns` /
 //! `serve.request_ns` histograms.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -55,9 +62,10 @@ use std::time::{Duration, Instant};
 
 use paulihedral::ir::PauliIR;
 use paulihedral::parse::parse_program;
+use paulihedral::Scheduler;
 use ph_telemetry::json::Json;
 
-use crate::cache::{relock, CacheEntry};
+use crate::cache::{relock, rewait, CacheEntry};
 use crate::engine::Engine;
 use crate::fault::{ConnFault, Fault};
 use crate::persist;
@@ -129,10 +137,12 @@ struct Ticket {
     answered: AtomicBool,
 }
 
-/// One queued compile job, carrying everything the worker needs.
+/// One queued compile job, carrying only what the worker reads: the
+/// request's text is dropped when `submit` returns.
 struct Job {
     ticket: Arc<Ticket>,
-    req: CompileRequest,
+    scheduler: Option<Scheduler>,
+    artifact: bool,
     ir: PauliIR,
     target: Option<Target>,
     enqueued: Instant,
@@ -149,7 +159,6 @@ struct Conn {
     idle: Condvar,
     /// Report lines (success, failure, or reject) written so far.
     served: AtomicU64,
-    closed: AtomicBool,
     /// Set on the first failed (or fault-injected) response write: the
     /// client is gone, so this connection's remaining queued jobs are
     /// cancelled instead of compiled.
@@ -170,8 +179,7 @@ impl Conn {
         line.push('\n');
         match self.fault.conn_write() {
             ConnFault::Drop => {
-                self.dead.store(true, Ordering::SeqCst);
-                self.close();
+                self.hang_up();
                 return;
             }
             ConnFault::Truncate => {
@@ -181,8 +189,7 @@ impl Conn {
                     let _ = stream.write_all(&line.as_bytes()[..cut]);
                     let _ = stream.flush();
                 }
-                self.dead.store(true, Ordering::SeqCst);
-                self.close();
+                self.hang_up();
                 return;
             }
             ConnFault::Stall(d) => self.fault.sleep(d),
@@ -193,6 +200,15 @@ impl Conn {
         if !ok {
             self.dead.store(true, Ordering::SeqCst);
         }
+    }
+
+    /// Marks the connection dead and closes its write half. The reader
+    /// keeps draining the read half, so a client blocked on a full receive
+    /// window can finish sending and read EOF instead of waiting out the
+    /// kernel's FIN_WAIT2 timeout once the socket is dropped.
+    fn hang_up(&self) {
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = relock(&self.writer).shutdown(Shutdown::Write);
     }
 
     fn is_dead(&self) -> bool {
@@ -220,27 +236,8 @@ impl Conn {
 
     /// Blocks until every accepted job of this connection is answered.
     fn wait_idle(&self) {
-        let mut pending = relock(&self.pending);
-        while *pending > 0 {
-            pending = self
-                .idle
-                .wait(pending)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
+        drop(rewait(&self.idle, relock(&self.pending), |p| *p > 0));
     }
-
-    /// Closes the socket (both halves), once.
-    fn close(&self) {
-        if !self.closed.swap(true, Ordering::SeqCst) {
-            let _ = relock(&self.writer).shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Why [`Inner::push`] refused a job.
-enum PushError {
-    Full,
-    Draining,
 }
 
 struct Inner {
@@ -252,11 +249,11 @@ struct Inner {
     draining: AtomicBool,
     /// Set once the drain has finished; stops the watchdog thread.
     done: AtomicBool,
-    conns: Mutex<Vec<Arc<Conn>>>,
-    /// Accepted compile requests not yet answered (the drain barrier:
-    /// [`Server::run`] returns once draining is set and this hits zero).
-    outstanding: Mutex<u64>,
-    drained: Condvar,
+    /// Live connections by id: inserted before the reader starts, removed
+    /// by the reader when it finishes.
+    conns: Mutex<HashMap<u64, Arc<Conn>>>,
+    /// Signalled whenever a reader removes its connection.
+    conns_cv: Condvar,
     /// Jobs currently inside a worker, with their start instants — what
     /// the watchdog scans.
     running: Mutex<Vec<(Arc<Ticket>, Instant)>>,
@@ -288,39 +285,37 @@ impl Inner {
         relock(&self.queue).len()
     }
 
-    /// Enqueues a job; on refusal the (boxed, to keep the `Err` small)
-    /// job is handed back so the caller can answer it.
-    fn push(&self, job: Box<Job>) -> Result<(), (Box<Job>, PushError)> {
-        let mut queue = relock(&self.queue);
-        // Checked under the queue lock so a drain begun concurrently can
-        // never strand a job the workers already stopped watching for.
-        if self.draining.load(Ordering::SeqCst) {
-            return Err((job, PushError::Draining));
-        }
-        if queue.len() >= self.config.queue_depth {
-            return Err((job, PushError::Full));
-        }
-        queue.push_back(*job);
-        self.queue_cv.notify_one();
-        Ok(())
+    /// Enqueues a job, or answers it at once with `draining` or
+    /// `overloaded`.
+    fn push(&self, job: Job) {
+        let (tag, message) = {
+            let mut queue = relock(&self.queue);
+            // Checked under the queue lock so a drain begun concurrently can
+            // never strand a job the workers already stopped watching for.
+            if self.draining.load(Ordering::SeqCst) {
+                ("draining", "server is shutting down".to_string())
+            } else if queue.len() >= self.config.queue_depth {
+                let depth = self.config.queue_depth;
+                let message = format!("work queue is full ({depth} jobs); retry later");
+                ("overloaded", message)
+            } else {
+                queue.push_back(job);
+                self.queue_cv.notify_one();
+                return;
+            }
+        };
+        self.engine.telemetry().mark("serve.reject", &[]);
+        let line = proto::reject_json(job.ticket.id, &job.ticket.name, tag, &message);
+        self.answer(&job.ticket, Some(&line), &self.rejected);
     }
 
     /// Blocks for the next job; `None` once draining and empty — the
     /// worker's signal to exit with every accepted job answered.
     fn pop(&self) -> Option<Job> {
-        let mut queue = relock(&self.queue);
-        loop {
-            if let Some(job) = queue.pop_front() {
-                return Some(job);
-            }
-            if self.draining.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = self
-                .queue_cv
-                .wait(queue)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
+        rewait(&self.queue_cv, relock(&self.queue), |q| {
+            q.is_empty() && !self.draining.load(Ordering::SeqCst)
+        })
+        .pop_front()
     }
 
     /// Starts the graceful drain: no new connections or jobs, all queued
@@ -331,38 +326,17 @@ impl Inner {
             self.draining.store(true, Ordering::SeqCst);
         }
         self.queue_cv.notify_all();
-        // The drain barrier may already hold (nothing outstanding).
-        self.drained.notify_all();
         // Unblock the accept loop: it re-checks `draining` per connection,
         // so one throwaway local connect is enough to let it exit.
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Blocks until draining is requested and every accepted job has been
-    /// answered.
-    fn wait_drained(&self) {
-        let mut outstanding = relock(&self.outstanding);
-        while *outstanding > 0 {
-            outstanding = self
-                .drained
-                .wait(outstanding)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Claims one outstanding-answer slot for a just-accepted job.
-    fn accept_one(&self, conn: &Conn) {
-        conn.add_pending();
-        *relock(&self.outstanding) += 1;
-    }
-
     /// Answers one accepted job exactly once: writes the report line (if
-    /// any — cancelled jobs write nothing), releases the connection's
-    /// pending slot, and decrements the drain barrier. Returns `false`
-    /// when someone else (worker vs. watchdog) answered first. The
-    /// winner's outcome counter is bumped *before* the write, so a client
-    /// that reads its report and immediately asks for `stats` sees it
-    /// counted.
+    /// any — cancelled jobs write nothing) and releases the connection's
+    /// pending slot. Returns `false` when someone else (worker vs.
+    /// watchdog) answered first. The winner's outcome counter is bumped
+    /// *before* the write, so a client that reads its report and
+    /// immediately asks for `stats` sees it counted.
     fn answer(&self, ticket: &Ticket, line: Option<&Json>, counter: &AtomicU64) -> bool {
         if ticket.answered.swap(true, Ordering::SeqCst) {
             return false;
@@ -373,11 +347,6 @@ impl Inner {
             ticket.conn.count_report();
         }
         ticket.conn.complete();
-        let mut outstanding = relock(&self.outstanding);
-        *outstanding -= 1;
-        if *outstanding == 0 {
-            self.drained.notify_all();
-        }
         true
     }
 
@@ -480,36 +449,22 @@ impl Inner {
             .map(Duration::from_millis)
             .or(self.config.default_deadline)
             .map(|d| Instant::now() + d);
-        self.accept_one(conn);
+        conn.add_pending();
         let ticket = Arc::new(Ticket {
             conn: Arc::clone(conn),
             id: req.id,
             name: req.display_name(),
             answered: AtomicBool::new(false),
         });
-        let job = Job {
+        self.push(Job {
             ticket,
-            req,
+            scheduler: req.scheduler,
+            artifact: req.artifact,
             ir,
             target,
             enqueued: Instant::now(),
             deadline,
-        };
-        if let Err((job, kind)) = self.push(Box::new(job)) {
-            let (tag, message) = match kind {
-                PushError::Full => (
-                    "overloaded",
-                    format!(
-                        "work queue is full ({} jobs); retry later",
-                        self.config.queue_depth
-                    ),
-                ),
-                PushError::Draining => ("draining", "server is shutting down".to_string()),
-            };
-            self.engine.telemetry().mark("serve.reject", &[]);
-            let line = proto::reject_json(job.req.id, &job.ticket.name, tag, &message);
-            self.answer(&job.ticket, Some(&line), &self.rejected);
-        }
+        });
     }
 
     /// One worker: pull → liveness/deadline check → compile → stream the
@@ -521,7 +476,7 @@ impl Inner {
             let span = telemetry.span_with(
                 "request",
                 vec![
-                    ("id", job.req.id.into()),
+                    ("id", job.ticket.id.into()),
                     ("conn", job.ticket.conn.id.into()),
                     (
                         "queue_wait_us",
@@ -539,7 +494,7 @@ impl Inner {
             } else if job.deadline.is_some_and(|d| Instant::now() > d) {
                 telemetry.mark("serve.deadline_miss", &[]);
                 let line = proto::reject_json(
-                    job.req.id,
+                    job.ticket.id,
                     &job.ticket.name,
                     "deadline_exceeded",
                     "deadline expired before a worker picked the job up",
@@ -548,12 +503,12 @@ impl Inner {
             } else {
                 relock(&self.running).push((Arc::clone(&job.ticket), Instant::now()));
                 let t0 = Instant::now();
-                let outcome =
-                    self.engine
-                        .compile_with(&job.ir, job.target.as_ref(), job.req.scheduler);
+                let outcome = self
+                    .engine
+                    .compile_with(&job.ir, job.target.as_ref(), job.scheduler);
                 let wall = t0.elapsed();
                 relock(&self.running).retain(|(t, _)| !Arc::ptr_eq(t, &job.ticket));
-                let artifact = match (&outcome, job.req.artifact) {
+                let artifact = match (&outcome, job.artifact) {
                     (Ok(o), true) => {
                         let entry = CacheEntry {
                             compiled: Arc::clone(&o.compiled),
@@ -564,14 +519,14 @@ impl Inner {
                     _ => None,
                 };
                 let line = proto::report_json(
-                    job.req.id,
+                    job.ticket.id,
                     proto::job_json(&job.ticket.name, &outcome, wall, queue_wait),
                     artifact,
                 );
                 if !self.answer(&job.ticket, Some(&line), &self.completed) {
                     // The watchdog wrote this job off while we computed;
                     // the (late) result is discarded.
-                    telemetry.mark("serve.late_result", &[("id", job.req.id.into())]);
+                    telemetry.mark("serve.late_result", &[("id", job.ticket.id.into())]);
                 }
             }
             let wall = span.finish();
@@ -687,7 +642,8 @@ impl Inner {
                 }
                 Line::Text(line) => {
                     let line = line.trim();
-                    if line.is_empty() {
+                    // Nobody can receive the reports of a dead connection.
+                    if line.is_empty() || conn.is_dead() {
                         continue;
                     }
                     match Request::from_line(line) {
@@ -719,7 +675,7 @@ impl Inner {
             ("type", Json::str("bye")),
             ("served", Json::U64(conn.served.load(Ordering::Relaxed))),
         ]));
-        conn.close();
+        let _ = relock(&conn.writer).shutdown(Shutdown::Both);
         drop(span);
     }
 }
@@ -788,9 +744,8 @@ impl Server {
                 queue_cv: Condvar::new(),
                 draining: AtomicBool::new(false),
                 done: AtomicBool::new(false),
-                conns: Mutex::new(Vec::new()),
-                outstanding: Mutex::new(0),
-                drained: Condvar::new(),
+                conns: Mutex::new(HashMap::new()),
+                conns_cv: Condvar::new(),
                 running: Mutex::new(Vec::new()),
                 connections: AtomicU64::new(0),
                 requests: AtomicU64::new(0),
@@ -817,13 +772,14 @@ impl Server {
         }
     }
 
-    /// Serves until drained: accepts connections, streams reports, and on
-    /// shutdown answers every accepted job before returning the final
-    /// counters.
+    /// Serves until the drain completes: accepts connections, streams
+    /// reports, and on shutdown answers every accepted job before
+    /// returning the final counters.
     ///
-    /// Workers are detached rather than joined: the drain barrier counts
-    /// *answers*, not worker exits, so a worker wedged on a stuck compile
-    /// (written off by the watchdog) cannot wedge the drain with it.
+    /// Workers and connection readers are detached rather than joined.
+    /// The drain barrier counts *answers*, per live connection, not worker
+    /// exits, so a worker wedged on a stuck compile (written off by the
+    /// watchdog) cannot wedge the drain with it.
     pub fn run(self) -> ServeStats {
         let inner = self.inner;
         for _ in 0..inner.engine.threads() {
@@ -835,7 +791,6 @@ impl Server {
             thread::spawn(move || inner.watchdog(threshold))
         });
 
-        let mut conn_threads = Vec::new();
         for stream in self.listener.incoming() {
             if inner.draining.load(Ordering::SeqCst) {
                 break;
@@ -851,29 +806,37 @@ impl Server {
                 pending: Mutex::new(0),
                 idle: Condvar::new(),
                 served: AtomicU64::new(0),
-                closed: AtomicBool::new(false),
                 dead: AtomicBool::new(false),
                 fault: inner.engine.fault().clone(),
             });
-            relock(&inner.conns).push(Arc::clone(&conn));
+            relock(&inner.conns).insert(id, Arc::clone(&conn));
             let inner = Arc::clone(&inner);
-            conn_threads.push(thread::spawn(move || inner.handle_conn(conn, stream)));
+            thread::spawn(move || {
+                // Deregisters even after a panic, so the drain never waits
+                // on a dead reader.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| inner.handle_conn(conn, stream)));
+                relock(&inner.conns).remove(&id);
+                inner.conns_cv.notify_all();
+            });
         }
         drop(self.listener);
 
-        // Drain: every accepted job answered (compiled, cancelled, timed
-        // out, or rejected) — not "every worker exited".
-        inner.wait_drained();
+        // Drain: every accepted job belongs to one live connection, so once
+        // each is idle every job is answered. A connection missing from the
+        // snapshot already said goodbye, which it does only when idle.
+        let live: Vec<Arc<Conn>> = relock(&inner.conns).values().cloned().collect();
+        for conn in &live {
+            conn.wait_idle();
+        }
         inner.done.store(true, Ordering::SeqCst);
         // Readers may still be blocked on clients that never hang up;
         // closing the sockets gives them EOF and lets them finish their
         // own goodbye path.
-        for conn in relock(&inner.conns).iter() {
-            conn.close();
+        for conn in &live {
+            let _ = relock(&conn.writer).shutdown(Shutdown::Both);
         }
-        for t in conn_threads {
-            let _ = t.join();
-        }
+        let conns = relock(&inner.conns);
+        drop(rewait(&inner.conns_cv, conns, |c| !c.is_empty()));
         if let Some(w) = watchdog {
             let _ = w.join();
         }

@@ -16,6 +16,8 @@
 //!   memory-only after the error threshold and is re-probed back to
 //!   health once reads succeed again.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -430,6 +432,59 @@ fn dead_connection_cancels_queued_jobs() {
         stats.cancelled >= JOBS / 2,
         "queued jobs for the dead connection must be cancelled: {stats:?}"
     );
+}
+
+/// A client still sending when the server drops its connection finishes
+/// writing and reads EOF promptly. The reader is stalled (an injected
+/// 2 s stall on its `pong`) while the client fills the socket buffers,
+/// and the job's report write drops the connection meanwhile; the server
+/// must keep the receive window open afterwards rather than leave the
+/// client blocked until a kernel timeout.
+#[test]
+fn dropped_connection_lets_a_sending_client_finish() {
+    // Seed 3 draws a stall for the first response write (the pong) and a
+    // drop for the second (the report, held back by the worker delay).
+    let plan = "seed=3,conn.drop=0.5,conn.stall=1.0,conn.stall_ms=2000,\
+                worker.delay=1.0,worker.delay_ms=500";
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant)
+        .without_cache()
+        .with_threads(1)
+        .with_fault(Fault::seeded(FaultPlan::parse(plan).unwrap()));
+    let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let stalled =
+        |e: &std::io::Error| matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+    let start = Instant::now();
+    let compile = Request::Compile(compile_req(1, TINY_IR)).to_json();
+    let head = format!("{}\n{{\"type\": \"ping\"}}\n", compile.to_compact());
+    stream.write_all(head.as_bytes()).expect("send requests");
+    // 30 MB of blank lines, far more than the socket buffers hold.
+    let padding = " ".repeat(100_000) + "\n";
+    for _ in 0..300 {
+        if let Err(e) = stream.write_all(padding.as_bytes()) {
+            // A reset also tells the client promptly; a timeout is a stall.
+            assert!(!stalled(&e), "write stalled: {e}");
+            break;
+        }
+    }
+    if let Err(e) = stream.read_to_end(&mut Vec::new()) {
+        assert!(!stalled(&e), "read stalled: {e}");
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(15),
+        "the client took {:?} to learn of the drop",
+        start.elapsed()
+    );
+    drop(stream);
+    handle.shutdown();
+    runner.join().expect("server drains");
 }
 
 /// The `health` request reports degradation: a failing disk tier flips
