@@ -83,30 +83,107 @@ fn most_overlap_chain(
     out
 }
 
+/// A layer's strings in emission-candidate order: blocks in order, terms
+/// in order.
+fn layer_strings(layer: &Layer) -> impl Iterator<Item = &PauliString> {
+    layer
+        .blocks
+        .iter()
+        .flat_map(|bl| &bl.terms)
+        .map(|t| &t.string)
+}
+
+/// The non-zero words of `s`'s support bit set, as `(word, bits)`.
+fn support_words(s: &PauliString) -> impl Iterator<Item = (usize, u64)> + '_ {
+    s.x_words()
+        .iter()
+        .zip(s.z_words())
+        .map(|(&x, &z)| x | z)
+        .enumerate()
+        .filter(|&(_, m)| m != 0)
+}
+
+/// One optional anchor string per layer.
+type Anchors<'a> = Vec<Option<&'a PauliString>>;
+
+/// Junction anchors (Alg. 2 lines 7–9): for each paired junction
+/// `(i, i + 1)`, the string pair with maximal overlap across it, the first
+/// maximum in `(layer i index, layer i + 1 index)` order; a junction whose
+/// every overlap is 0 anchors its two first strings. Returns
+/// `(end_anchor, start_anchor)` per layer.
+///
+/// Only strings that share support can overlap, so each string of layer
+/// `i` scores just the strings of layer `i + 1` that share a qubit with
+/// it. They are found in an index of layer `i + 1` by 64-qubit support
+/// word, and one word test drops those that only share the word. Word
+/// rows (rather than qubit rows) keep the index O(words) per string, so
+/// dense strings on few words cost no more than one `overlap`. The rows
+/// are reused across junctions and only the touched ones reset.
+fn junction_anchors<'a>(
+    n: usize,
+    layers: &'a [Layer],
+    partner: &[usize],
+) -> (Anchors<'a>, Anchors<'a>) {
+    let mut end_anchor: Anchors = vec![None; layers.len()];
+    let mut start_anchor: Anchors = vec![None; layers.len()];
+    // `on_word[w]`: indices into `next` of the strings active in word `w`.
+    let mut on_word: Vec<Vec<usize>> = vec![Vec::new(); n.div_ceil(64)];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut next: Vec<&PauliString> = Vec::new();
+    // `scored[k]`: the last string of layer `i` that scored `next[k]`.
+    let mut scored: Vec<usize> = Vec::new();
+    for i in (0..layers.len()).filter(|&i| partner[i] == i + 1) {
+        next.clear();
+        next.extend(layer_strings(&layers[i + 1]));
+        let (Some(a0), Some(&b0)) = (layer_strings(&layers[i]).next(), next.first()) else {
+            continue;
+        };
+        for (k, b) in next.iter().enumerate() {
+            for (w, _) in support_words(b) {
+                if on_word[w].is_empty() {
+                    touched.push(w);
+                }
+                on_word[w].push(k);
+            }
+        }
+        scored.clear();
+        scored.resize(next.len(), usize::MAX);
+        // The best pair with a positive overlap, replaced only on `>`.
+        let mut best: Option<(usize, &PauliString, &PauliString)> = None;
+        for (ai, a) in layer_strings(&layers[i]).enumerate() {
+            // This string's best partner: the maximum, lowest index first.
+            let mut local: Option<(usize, usize)> = None;
+            for (w, bits) in support_words(a) {
+                for &k in &on_word[w] {
+                    let b = next[k];
+                    if (b.x_words()[w] | b.z_words()[w]) & bits == 0 || scored[k] == ai {
+                        continue;
+                    }
+                    scored[k] = ai;
+                    let ov = a.overlap(b);
+                    if local.is_none_or(|(bo, bk)| ov > bo || (ov == bo && k < bk)) {
+                        local = Some((ov, k));
+                    }
+                }
+            }
+            if let Some((ov, k)) = local.filter(|&(ov, _)| ov > best.map_or(0, |b| b.0)) {
+                best = Some((ov, a, next[k]));
+            }
+        }
+        for w in touched.drain(..) {
+            on_word[w].clear();
+        }
+        let (sa, sb) = best.map_or((a0, b0), |(_, sa, sb)| (sa, sb));
+        end_anchor[i] = Some(sa);
+        start_anchor[i + 1] = Some(sb);
+    }
+    (end_anchor, start_anchor)
+}
+
 /// Orders all strings of the scheduled layers for synthesis (Alg. 2).
 pub fn order_strings(n: usize, layers: &[Layer]) -> Vec<(PauliString, f64)> {
     let partner = pair_layers(n, layers);
-    // Junction anchors: for a pair (i, i+1), the string pair with maximal
-    // overlap across the junction (Alg. 2 lines 7–9), first maximum wins.
-    // This quadratic string × string sweep dominates FT synthesis on
-    // large lattices.
-    let mut start_anchor: Vec<Option<&PauliString>> = vec![None; layers.len()];
-    let mut end_anchor: Vec<Option<&PauliString>> = vec![None; layers.len()];
-    for i in (0..layers.len()).filter(|&i| partner[i] == i + 1) {
-        let mut best: Option<(usize, &PauliString, &PauliString)> = None;
-        for ta in layers[i].blocks.iter().flat_map(|bl| &bl.terms) {
-            for tb in layers[i + 1].blocks.iter().flat_map(|bl| &bl.terms) {
-                let ov = ta.string.overlap(&tb.string);
-                if best.is_none_or(|(bo, _, _)| ov > bo) {
-                    best = Some((ov, &ta.string, &tb.string));
-                }
-            }
-        }
-        if let Some((_, sa, sb)) = best {
-            end_anchor[i] = Some(sa);
-            start_anchor[i + 1] = Some(sb);
-        }
-    }
+    let (end_anchor, start_anchor) = junction_anchors(n, layers, &partner);
 
     let mut out: Vec<(PauliString, f64)> = Vec::new();
     for (li, layer) in layers.iter().enumerate() {
@@ -174,7 +251,8 @@ mod tests {
     use super::*;
     use crate::ir::{Parameter, PauliBlock, PauliIR};
     use crate::schedule;
-    use pauli::PauliTerm;
+    use pauli::{Pauli, PauliTerm};
+    use proptest::prelude::*;
     use qcircuit::peephole;
 
     /// Synthesis plus the peephole clean-up a full compile runs.
@@ -197,6 +275,147 @@ mod tests {
             ));
         }
         ir
+    }
+
+    /// The junction sweep as it stood before the support index: every
+    /// string of one layer against every string of the next, first
+    /// maximum wins. Kept as the oracle that pins [`junction_anchors`].
+    fn junction_anchors_reference<'a>(
+        layers: &'a [Layer],
+        partner: &[usize],
+    ) -> (Anchors<'a>, Anchors<'a>) {
+        let mut end_anchor: Anchors = vec![None; layers.len()];
+        let mut start_anchor: Anchors = vec![None; layers.len()];
+        for i in (0..layers.len()).filter(|&i| partner[i] == i + 1) {
+            let mut best: Option<(usize, &PauliString, &PauliString)> = None;
+            for ta in layers[i].blocks.iter().flat_map(|bl| &bl.terms) {
+                for tb in layers[i + 1].blocks.iter().flat_map(|bl| &bl.terms) {
+                    let ov = ta.string.overlap(&tb.string);
+                    if best.is_none_or(|(bo, _, _)| ov > bo) {
+                        best = Some((ov, &ta.string, &tb.string));
+                    }
+                }
+            }
+            if let Some((_, sa, sb)) = best {
+                end_anchor[i] = Some(sa);
+                start_anchor[i + 1] = Some(sb);
+            }
+        }
+        (end_anchor, start_anchor)
+    }
+
+    /// A string on `n` qubits from `seed`: a qubit is active with
+    /// probability `1 / sparsity`, with an operator from `alphabet` (0: any,
+    /// 1: X only, 2: Z only). Sparse strings are often the identity.
+    fn seeded_string(n: usize, seed: u64, sparsity: u64, alphabet: u8) -> PauliString {
+        let mut s = PauliString::identity(n);
+        for q in 0..n {
+            let mut h = seed ^ (q as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h = (h ^ (h >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h ^= h >> 29;
+            if !h.is_multiple_of(sparsity) {
+                continue;
+            }
+            let p = match alphabet {
+                1 => Pauli::X,
+                2 => Pauli::Z,
+                _ => [Pauli::X, Pauli::Y, Pauli::Z][(h >> 8) as usize % 3],
+            };
+            s.set(q, p);
+        }
+        s
+    }
+
+    fn assert_anchors_match_reference(layers: &[Layer], partner: &[usize]) {
+        let ptrs = |v: Anchors| -> Vec<Option<*const PauliString>> {
+            v.into_iter().map(|a| a.map(|s| s as *const _)).collect()
+        };
+        let n = layers
+            .iter()
+            .flat_map(|l| &l.blocks)
+            .map(|b| b.terms[0].num_qubits())
+            .next()
+            .unwrap_or(0);
+        let (end, start) = junction_anchors(n, layers, partner);
+        let (end_ref, start_ref) = junction_anchors_reference(layers, partner);
+        assert_eq!(ptrs(end), ptrs(end_ref), "end anchors");
+        assert_eq!(ptrs(start), ptrs(start_ref), "start anchors");
+    }
+
+    proptest! {
+        #[test]
+        fn junction_anchors_match_the_reference_sweep(
+            n in 1usize..140,
+            sparsity in 1u64..12,
+            layers in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(
+                    proptest::collection::vec(any::<u64>(), 1..4),
+                    0..5,
+                )),
+                0..7,
+            ),
+            fixed_pairs in any::<bool>(),
+        ) {
+            let layers: Vec<Layer> = layers
+                .into_iter()
+                .map(|(alphabet, blocks)| Layer {
+                    blocks: blocks
+                        .into_iter()
+                        .map(|seeds| {
+                            let terms = seeds
+                                .into_iter()
+                                .map(|seed| {
+                                    PauliTerm::new(seeded_string(n, seed, sparsity, alphabet), 1.0)
+                                })
+                                .collect();
+                            PauliBlock::new(terms, Parameter::time(0.1))
+                        })
+                        .collect(),
+                })
+                .collect();
+            // Greedy pairing as synthesis runs it, or the fixed pairing
+            // (0, 1), (2, 3), … that also pairs low-overlap junctions.
+            let partner: Vec<usize> = if fixed_pairs {
+                (0..layers.len())
+                    .map(|i| match i % 2 {
+                        0 if i + 1 < layers.len() => i + 1,
+                        0 => i,
+                        _ => i - 1,
+                    })
+                    .collect()
+            } else {
+                pair_layers(n, &layers)
+            };
+            assert_anchors_match_reference(&layers, &partner);
+        }
+    }
+
+    #[test]
+    fn all_zero_junction_anchors_on_the_first_pair() {
+        // X-only strings face Z-only strings on the same qubits: every
+        // overlap is 0, and the first pair is still the anchor.
+        let layer = |strings: &[&str]| Layer {
+            blocks: strings
+                .iter()
+                .map(|s| {
+                    PauliBlock::new(
+                        vec![PauliTerm::new(s.parse().unwrap(), 1.0)],
+                        Parameter::time(0.1),
+                    )
+                })
+                .collect(),
+        };
+        let layers = [layer(&["XXI", "IXX"]), layer(&["ZZI", "IIZ"])];
+        let (end, start) = junction_anchors(3, &layers, &[1, 0]);
+        assert!(std::ptr::eq(
+            end[0].unwrap(),
+            &layers[0].blocks[0].terms[0].string
+        ));
+        assert!(std::ptr::eq(
+            start[1].unwrap(),
+            &layers[1].blocks[0].terms[0].string
+        ));
+        assert_anchors_match_reference(&layers, &[1, 0]);
     }
 
     #[test]

@@ -40,7 +40,8 @@ impl Target {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for an unknown or malformed spec.
+    /// Returns a human-readable message for an unknown or malformed spec,
+    /// including a grid with a zero dimension or a `rows × cols` overflow.
     pub fn parse_spec(spec: &str, n_program: usize) -> Result<Target, String> {
         match spec {
             "ft" => Ok(Target::FaultTolerant),
@@ -59,6 +60,11 @@ impl Target {
                         .ok_or_else(|| format!("bad grid spec `{dims}`, expected RxC"))?;
                     let r: usize = r.parse().map_err(|_| format!("bad grid rows `{r}`"))?;
                     let c: usize = c.parse().map_err(|_| format!("bad grid cols `{c}`"))?;
+                    if r == 0 || c == 0 || r.checked_mul(c).is_none() {
+                        return Err(format!(
+                            "bad grid size `{dims}`, expected RxC with R, C > 0"
+                        ));
+                    }
                     return Ok(Target::superconducting(qdevice::devices::grid(r, c)));
                 }
                 Err(format!(
@@ -106,6 +112,35 @@ impl Target {
                     }
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sc_qubits(spec: &str) -> usize {
+        match Target::parse_spec(spec, 1) {
+            Ok(Target::Superconducting { device, .. }) => device.num_qubits(),
+            other => panic!("`{spec}` parsed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn grid_specs_need_positive_non_overflowing_dimensions() {
+        assert_eq!(sc_qubits("grid:2x3"), 6);
+        let big = format!("grid:{}x{}", usize::MAX / 2, 3);
+        for bad in [
+            "grid:0x4",
+            "grid:4x0",
+            "grid:0x0",
+            big.as_str(),
+            "grid:4",
+            "grid:ax4",
+        ] {
+            let err = Target::parse_spec(bad, 1).expect_err(bad);
+            assert!(err.starts_with("bad grid"), "{bad}: {err}");
         }
     }
 }

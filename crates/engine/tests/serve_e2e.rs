@@ -411,6 +411,28 @@ fn errors_are_values_and_the_connection_survives_them() {
     runner.join().expect("server thread");
 }
 
+/// A zero-size grid is a request error, answered like any other: a
+/// `bad_request` report and then `bye`, with no thread lost.
+#[test]
+fn a_zero_size_grid_is_a_bad_request_not_a_dead_connection() {
+    let engine = Engine::new(Pipeline::auto(), Target::FaultTolerant);
+    let (addr, handle, runner) = spawn_server(engine, ServeConfig::default());
+    let mut client = Connection::connect(addr).expect("connect");
+    client
+        .send_raw(r#"{"type":"compile","id":7,"ir":"{(ZZ, 0.5), 1.0};","backend":"grid:0x4"}"#)
+        .expect("send");
+    let report = recv(&mut client);
+    assert_eq!(field_str(&report, "type"), "report");
+    assert_eq!(field_u64(&report, "id"), 7);
+    assert_eq!(field_str(&report, "error_kind"), "bad_request");
+
+    client.finish().expect("half-close");
+    let bye = recv(&mut client);
+    assert_eq!(field_str(&bye, "type"), "bye");
+    handle.shutdown();
+    runner.join().expect("server thread");
+}
+
 /// A panic inside a compile becomes a `panicked` report for that job only;
 /// the worker, the connection, and the server all survive.
 #[test]

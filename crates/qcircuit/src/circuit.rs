@@ -108,6 +108,12 @@ impl Circuit {
         self.gates.iter()
     }
 
+    /// The gate list itself, for passes that rewrite it in place without
+    /// a copy. Callers keep every gate valid for this circuit.
+    pub(crate) fn gates_mut(&mut self) -> &mut Vec<Gate> {
+        &mut self.gates
+    }
+
     /// Replaces the gate list (used by optimization passes).
     pub fn set_gates(&mut self, gates: Vec<Gate>) {
         self.gates.clear();
