@@ -1,5 +1,6 @@
 //! Content-addressed compilation cache: bounded LRU memory tier, optional
-//! persistent disk tier, single-flight miss coalescing.
+//! persistent disk tier, single-flight miss coalescing, all behind one
+//! entry point, [`CompileCache::get_or_compute`].
 //!
 //! Keys are canonical 64-bit FNV-1a fingerprints of the complete request:
 //! the Pauli IR (operator words, weights, parameters), the pipeline
@@ -9,9 +10,11 @@
 //!
 //! Serving-tier behavior:
 //!
-//! * **Bounded.** The memory tier is an LRU map with optional entry-count
-//!   and approximate-byte budgets ([`CacheConfig`]); evictions are counted
-//!   in [`CacheStats`] and the resident footprint never exceeds the budget.
+//! * **Bounded.** The memory tier is a recency-ordered map (a tick → key
+//!   index whose first tick is the least recently used entry) with optional
+//!   entry-count and approximate-byte budgets ([`CacheConfig`]); evictions
+//!   are counted in [`CacheStats`] and the resident footprint never exceeds
+//!   the budget.
 //! * **Persistent.** With [`CacheConfig::disk_dir`] set, every compiled
 //!   entry is also written to `<dir>/<key:016x>.phc` (atomically, via a
 //!   temp file + rename) and memory misses are filled from disk. Keys are
@@ -30,9 +33,9 @@
 //!   [`CacheConfig::disk_reprobe`], healing automatically when the disk
 //!   recovers (`cache.disk_recovered`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -193,13 +196,6 @@ impl Default for CacheConfig {
     }
 }
 
-impl CacheConfig {
-    /// Memory-only, unbounded — the historical default.
-    pub fn unbounded() -> CacheConfig {
-        CacheConfig::default()
-    }
-}
-
 /// Cache effectiveness counters, exposed through
 /// [`crate::Engine::cache_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -270,109 +266,58 @@ pub(crate) fn rewait<'a, T>(
     guard
 }
 
-/// One LRU slot: the entry, its charged cost, and its neighbors in the
-/// recency list (an intrusive doubly-linked list threaded through the map
-/// by key, so touch/evict are O(1)).
+/// One memory-tier slot: the entry, its charged cost, and its recency
+/// tick (its key in [`Lru::order`]).
 #[derive(Debug)]
 struct Slot {
     entry: CacheEntry,
     cost: usize,
-    prev: Option<u64>, // toward most-recent
-    next: Option<u64>, // toward least-recent
+    tick: u64,
 }
 
-/// The memory tier: a HashMap with an intrusive recency list.
+/// The memory tier: slots by key plus a recency index from tick to key.
+/// Every touch or insert gives its key a fresh tick, so the first tick
+/// in `order` is always the least recently used key.
 #[derive(Debug, Default)]
-struct LruMap {
+struct Lru {
     slots: HashMap<u64, Slot>,
-    head: Option<u64>, // most recently used
-    tail: Option<u64>, // least recently used
+    order: BTreeMap<u64, u64>,
+    clock: u64,
     bytes: usize,
 }
 
-impl LruMap {
-    fn unlink(&mut self, key: u64) {
-        let (prev, next) = {
-            let s = &self.slots[&key];
-            (s.prev, s.next)
-        };
-        match prev {
-            Some(p) => self.slots.get_mut(&p).expect("linked prev exists").next = next,
-            None => self.head = next,
-        }
-        match next {
-            Some(n) => self.slots.get_mut(&n).expect("linked next exists").prev = prev,
-            None => self.tail = prev,
-        }
-    }
-
-    fn push_front(&mut self, key: u64) {
-        let old_head = self.head;
-        {
-            let s = self.slots.get_mut(&key).expect("pushed slot exists");
-            s.prev = None;
-            s.next = old_head;
-        }
-        if let Some(h) = old_head {
-            self.slots.get_mut(&h).expect("old head exists").prev = Some(key);
-        }
-        self.head = Some(key);
-        if self.tail.is_none() {
-            self.tail = Some(key);
-        }
-    }
-
+impl Lru {
     /// Gets and marks the entry as most recently used.
     fn touch(&mut self, key: u64) -> Option<CacheEntry> {
-        if !self.slots.contains_key(&key) {
-            return None;
-        }
-        self.unlink(key);
-        self.push_front(key);
-        Some(self.slots[&key].entry.clone())
+        let slot = self.slots.get_mut(&key)?;
+        self.order.remove(&slot.tick);
+        self.clock += 1;
+        slot.tick = self.clock;
+        self.order.insert(self.clock, key);
+        Some(slot.entry.clone())
     }
 
     /// Inserts (or replaces) an entry as most recently used.
     fn insert(&mut self, key: u64, entry: CacheEntry, cost: usize) {
-        if let Some(old_cost) = self.slots.get(&key).map(|s| s.cost) {
-            self.unlink(key);
-            let slot = self.slots.get_mut(&key).expect("replaced slot exists");
-            self.bytes = self.bytes - old_cost + cost;
-            slot.entry = entry;
-            slot.cost = cost;
-        } else {
-            self.slots.insert(
-                key,
-                Slot {
-                    entry,
-                    cost,
-                    prev: None,
-                    next: None,
-                },
-            );
-            self.bytes += cost;
+        self.clock += 1;
+        self.order.insert(self.clock, key);
+        self.bytes += cost;
+        let tick = self.clock;
+        if let Some(old) = self.slots.insert(key, Slot { entry, cost, tick }) {
+            self.order.remove(&old.tick);
+            self.bytes -= old.cost;
         }
-        self.push_front(key);
     }
 
-    /// Removes and returns the least recently used key, if any.
-    fn pop_lru(&mut self) -> Option<u64> {
-        let key = self.tail?;
-        self.unlink(key);
-        let slot = self.slots.remove(&key).expect("tail slot exists");
-        self.bytes -= slot.cost;
-        Some(key)
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.head = None;
-        self.tail = None;
-        self.bytes = 0;
+    /// Evicts the least recently used entry; `false` when empty.
+    fn pop_lru(&mut self) -> bool {
+        let Some((_, key)) = self.order.pop_first() else {
+            return false;
+        };
+        if let Some(slot) = self.slots.remove(&key) {
+            self.bytes -= slot.cost;
+        }
+        true
     }
 }
 
@@ -428,14 +373,13 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-/// Disk-tier health: a consecutive-error counter that trips a disabled
-/// flag, plus the re-probe gate that lets the tier heal.
+/// Disk-tier health: the current run of consecutive real I/O errors and,
+/// while the tier is disabled, the earliest instant of its next health
+/// probe (`probe_at.is_some()` *is* the disabled state).
 #[derive(Debug, Default)]
 struct DiskHealth {
-    consecutive: AtomicU32,
-    disabled: AtomicBool,
-    /// Earliest instant the next health probe may run while disabled.
-    next_probe: Mutex<Option<Instant>>,
+    streak: u32,
+    probe_at: Option<Instant>,
 }
 
 /// A thread-safe, content-addressed map from request fingerprints to
@@ -444,18 +388,18 @@ struct DiskHealth {
 #[derive(Debug, Default)]
 pub struct CompileCache {
     config: CacheConfig,
-    entries: Mutex<LruMap>,
+    entries: Mutex<Lru>,
     inflight: Mutex<HashMap<u64, Arc<Flight>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     disk_hits: AtomicU64,
     coalesced: AtomicU64,
     evictions: AtomicU64,
-    tmp_swept: AtomicU64,
+    tmp_swept: u64,
     disk_errors: AtomicU64,
     disk_heals: AtomicU64,
-    health: DiskHealth,
-    tmp_sweep_reported: AtomicBool,
+    health: Mutex<DiskHealth>,
+    tmp_sweep_reported: bool,
     telemetry: Telemetry,
     fault: Fault,
 }
@@ -471,33 +415,11 @@ impl CompileCache {
     /// temp-file creation and the atomic rename would otherwise leak them
     /// forever); [`CacheStats::tmp_swept`] counts the removals.
     pub fn with_config(config: CacheConfig) -> CompileCache {
-        let cache = CompileCache {
+        CompileCache {
+            tmp_swept: config.disk_dir.as_deref().map_or(0, sweep_tmp),
             config,
             ..CompileCache::default()
-        };
-        cache.sweep_tmp();
-        cache
-    }
-
-    /// Removes every `*.tmp` file in the disk dir. Only called at open: a
-    /// tmp file observable then belongs to a dead writer (or to a live one
-    /// whose best-effort write-back harmlessly degrades to a dropped
-    /// cache fill when its rename fails).
-    fn sweep_tmp(&self) {
-        let Some(dir) = self.config.disk_dir.as_deref() else {
-            return;
-        };
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
-        };
-        let mut swept = 0;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_some_and(|e| e == "tmp") && std::fs::remove_file(&path).is_ok() {
-                swept += 1;
-            }
         }
-        self.tmp_swept.store(swept, Ordering::Relaxed);
     }
 
     /// The cache's configuration.
@@ -515,13 +437,10 @@ impl CompileCache {
         self.telemetry = telemetry;
         // The open-time tmp sweep ran before any handle was attached;
         // report it now, exactly once even if re-attached.
-        let swept = self.tmp_swept.load(Ordering::Relaxed);
-        if swept > 0
-            && self.telemetry.is_enabled()
-            && !self.tmp_sweep_reported.swap(true, Ordering::Relaxed)
-        {
+        if self.tmp_swept > 0 && self.telemetry.is_enabled() && !self.tmp_sweep_reported {
+            self.tmp_sweep_reported = true;
             self.telemetry
-                .mark("cache.tmp_sweep", &[("files", swept.into())]);
+                .mark("cache.tmp_sweep", &[("files", self.tmp_swept.into())]);
         }
     }
 
@@ -537,25 +456,25 @@ impl CompileCache {
     /// health probe — its success heals the tier, its failure pushes the
     /// next probe out another window).
     fn disk_gate(&self) -> bool {
-        if !self.health.disabled.load(Ordering::SeqCst) {
+        let mut health = relock(&self.health);
+        let Some(probe_at) = health.probe_at else {
             return true;
-        }
+        };
         let now = Instant::now();
-        let mut next = relock(&self.health.next_probe);
-        match *next {
-            Some(t) if now < t => false,
-            _ => {
-                *next = Some(now + self.config.disk_reprobe);
-                true
-            }
+        if now < probe_at {
+            return false;
         }
+        health.probe_at = Some(now + self.config.disk_reprobe);
+        true
     }
 
     /// Records a successful disk operation: resets the error streak and
     /// heals a disabled tier.
     fn disk_ok(&self) {
-        self.health.consecutive.store(0, Ordering::SeqCst);
-        if self.health.disabled.swap(false, Ordering::SeqCst) {
+        let mut health = relock(&self.health);
+        health.streak = 0;
+        if health.probe_at.take().is_some() {
+            drop(health);
             self.disk_heals.fetch_add(1, Ordering::Relaxed);
             self.telemetry.mark("cache.disk_recovered", &[]);
         }
@@ -567,20 +486,22 @@ impl CompileCache {
     fn disk_error(&self) {
         self.disk_errors.fetch_add(1, Ordering::Relaxed);
         self.telemetry.mark("cache.disk_error", &[]);
-        let streak = self.health.consecutive.fetch_add(1, Ordering::SeqCst) + 1;
-        if streak >= self.config.disk_error_threshold
-            && !self.health.disabled.swap(true, Ordering::SeqCst)
-        {
-            *relock(&self.health.next_probe) = Some(Instant::now() + self.config.disk_reprobe);
-            self.telemetry.mark(
-                "cache.disk_disabled",
-                &[("consecutive_errors", u64::from(streak).into())],
-            );
+        let mut health = relock(&self.health);
+        health.streak = health.streak.saturating_add(1);
+        if health.probe_at.is_some() || health.streak < self.config.disk_error_threshold {
+            return;
         }
+        health.probe_at = Some(Instant::now() + self.config.disk_reprobe);
+        let streak = u64::from(health.streak);
+        drop(health);
+        self.telemetry.mark(
+            "cache.disk_disabled",
+            &[("consecutive_errors", streak.into())],
+        );
     }
 
     /// Locks the memory tier, recording how long the lock was contended.
-    fn lock_entries(&self) -> MutexGuard<'_, LruMap> {
+    fn lock_entries(&self) -> MutexGuard<'_, Lru> {
         if self.telemetry.is_enabled() {
             let t0 = Instant::now();
             let guard = relock(&self.entries);
@@ -597,10 +518,12 @@ impl CompileCache {
         dir.join(format!("{key:016x}.phc"))
     }
 
-    /// Probes both tiers without touching the hit/miss counters. A disk
-    /// hit is promoted into the memory tier.
+    /// Probes both tiers and counts the hit in the tier that answered. A
+    /// disk hit is promoted into the memory tier.
     fn probe(&self, key: u64) -> Option<(CacheEntry, CacheOutcome)> {
-        if let Some(entry) = self.lock_entries().touch(key) {
+        let resident = self.lock_entries().touch(key);
+        if let Some(entry) = resident {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             self.telemetry.mark("cache.hit", &[]);
             return Some((entry, CacheOutcome::MemoryHit));
         }
@@ -648,6 +571,7 @@ impl CompileCache {
             ],
         );
         self.admit(key, entry.clone());
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
         Some((entry, CacheOutcome::DiskHit))
     }
 
@@ -662,16 +586,16 @@ impl CompileCache {
         }
         let mut evicted = 0;
         let (entries, resident_bytes) = {
-            let mut map = self.lock_entries();
-            map.insert(key, entry, cost);
-            let over = |map: &LruMap| {
-                self.config.max_entries.is_some_and(|m| map.len() > m)
-                    || self.config.max_bytes.is_some_and(|m| map.bytes > m)
+            let mut lru = self.lock_entries();
+            lru.insert(key, entry, cost);
+            let over = |lru: &Lru| {
+                self.config.max_entries.is_some_and(|m| lru.slots.len() > m)
+                    || self.config.max_bytes.is_some_and(|m| lru.bytes > m)
             };
-            while over(&map) && map.pop_lru().is_some() {
+            while over(&lru) && lru.pop_lru() {
                 evicted += 1;
             }
-            (map.len(), map.bytes)
+            (lru.slots.len(), lru.bytes)
         };
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
         for _ in 0..evicted {
@@ -738,50 +662,19 @@ impl CompileCache {
         );
     }
 
-    /// Looks up a key in both tiers, bumping the hit/miss counters.
-    pub fn lookup(&self, key: u64) -> Option<CacheEntry> {
-        match self.probe(key) {
-            Some((entry, CacheOutcome::MemoryHit)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            Some((entry, _)) => {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.telemetry.mark("cache.miss", &[]);
-                None
-            }
-        }
-    }
-
-    /// Stores a compilation result in both tiers. Concurrent duplicate
-    /// inserts (two workers racing on the same key) are benign: both
-    /// values are identical by construction, the second simply wins.
-    pub fn insert(&self, key: u64, entry: CacheEntry) {
-        self.write_back(key, &entry);
-        self.admit(key, entry);
-    }
-
     /// Returns the cached entry for `key`, computing (and caching) it with
-    /// `compute` on a miss. Concurrent calls for the same key run
-    /// `compute` exactly once: one caller leads, the rest block until the
-    /// leader publishes and then share its `Arc`. If the leader fails or
-    /// panics, one waiter takes over and retries.
+    /// `compute` on a miss — the cache's one entry point. Concurrent calls
+    /// for the same key run `compute` exactly once: one caller leads, the
+    /// rest block until the leader publishes and then share its `Arc`. If
+    /// the leader fails or panics, one waiter takes over and retries.
     pub fn get_or_compute<E>(
         &self,
         key: u64,
         compute: impl FnOnce() -> Result<CacheEntry, E>,
     ) -> Result<(CacheEntry, CacheOutcome), E> {
         loop {
-            if let Some((entry, outcome)) = self.probe(key) {
-                match outcome {
-                    CacheOutcome::MemoryHit => self.hits.fetch_add(1, Ordering::Relaxed),
-                    _ => self.disk_hits.fetch_add(1, Ordering::Relaxed),
-                };
-                return Ok((entry, outcome));
+            if let Some(hit) = self.probe(key) {
+                return Ok(hit);
             }
 
             let (flight, leader) = {
@@ -820,10 +713,6 @@ impl CompileCache {
             // Double-check under leadership: a previous leader may have
             // published between our probe and our registration.
             if let Some((entry, outcome)) = self.probe(key) {
-                match outcome {
-                    CacheOutcome::MemoryHit => self.hits.fetch_add(1, Ordering::Relaxed),
-                    _ => self.disk_hits.fetch_add(1, Ordering::Relaxed),
-                };
                 guard.publish(FlightState::Done(entry.clone()));
                 return Ok((entry, outcome));
             }
@@ -831,7 +720,8 @@ impl CompileCache {
             self.telemetry.mark("cache.miss", &[]);
             return match compute() {
                 Ok(entry) => {
-                    self.insert(key, entry.clone());
+                    self.write_back(key, &entry);
+                    self.admit(key, entry.clone());
                     guard.publish(FlightState::Done(entry.clone()));
                     Ok((entry, CacheOutcome::Compiled))
                 }
@@ -846,8 +736,8 @@ impl CompileCache {
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         let (entries, resident_bytes) = {
-            let map = self.lock_entries();
-            (map.len(), map.bytes)
+            let lru = self.lock_entries();
+            (lru.slots.len(), lru.bytes)
         };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -855,19 +745,32 @@ impl CompileCache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            tmp_swept: self.tmp_swept.load(Ordering::Relaxed),
+            tmp_swept: self.tmp_swept,
             disk_errors: self.disk_errors.load(Ordering::Relaxed),
             disk_heals: self.disk_heals.load(Ordering::Relaxed),
-            disk_disabled: self.health.disabled.load(Ordering::SeqCst),
+            disk_disabled: relock(&self.health).probe_at.is_some(),
             entries,
             resident_bytes,
         }
     }
+}
 
-    /// Drops all memory-tier entries (counters and disk files are kept).
-    pub fn clear(&self) {
-        relock(&self.entries).clear();
+/// Removes every `*.tmp` file in a disk-tier directory and returns how
+/// many went. Only called at open: a tmp file observable then belongs to a
+/// dead writer (or to a live one whose best-effort write-back harmlessly
+/// degrades to a dropped cache fill when its rename fails).
+fn sweep_tmp(dir: &Path) -> u64 {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    let mut swept = 0;
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.extension().is_some_and(|e| e == "tmp") && std::fs::remove_file(&path).is_ok() {
+            swept += 1;
+        }
     }
+    swept
 }
 
 #[cfg(test)]
@@ -926,16 +829,30 @@ mod tests {
         }
     }
 
+    /// Requests `key`, compiling an `entry_with(gates)` on a miss.
+    fn fill(cache: &CompileCache, key: u64, gates: usize) -> CacheOutcome {
+        let (_, outcome) = cache
+            .get_or_compute::<()>(key, || Ok(entry_with(gates)))
+            .expect("compute succeeds");
+        outcome
+    }
+
+    /// Whether `key` is cached: a hit, or a counted miss whose failing
+    /// compute caches nothing.
+    fn cached(cache: &CompileCache, key: u64) -> bool {
+        cache.get_or_compute(key, || Err(())).is_ok()
+    }
+
     #[test]
     fn counters_track_lookups() {
         let cache = CompileCache::new();
-        assert!(cache.lookup(42).is_none());
+        assert!(!cached(&cache, 42));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 0));
-        cache.insert(42, entry_with(1));
-        assert!(cache.lookup(42).is_some());
+        assert_eq!(fill(&cache, 42, 1), CacheOutcome::Compiled);
+        assert!(cached(&cache, 42));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!(stats.resident_bytes > 0);
     }
 
@@ -945,14 +862,14 @@ mod tests {
             max_entries: Some(2),
             ..CacheConfig::default()
         });
-        cache.insert(1, entry_with(1));
-        cache.insert(2, entry_with(1));
+        fill(&cache, 1, 1);
+        fill(&cache, 2, 1);
         // Touch 1 so 2 becomes least recently used.
-        assert!(cache.lookup(1).is_some());
-        cache.insert(3, entry_with(1));
-        assert!(cache.lookup(2).is_none(), "LRU key must be evicted");
-        assert!(cache.lookup(1).is_some());
-        assert!(cache.lookup(3).is_some());
+        assert!(cached(&cache, 1));
+        fill(&cache, 3, 1);
+        assert!(!cached(&cache, 2), "LRU key must be evicted");
+        assert!(cached(&cache, 1));
+        assert!(cached(&cache, 3));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
@@ -966,24 +883,26 @@ mod tests {
             ..CacheConfig::default()
         });
         for key in 0..10 {
-            cache.insert(key, entry_with(1));
+            fill(&cache, key, 1);
             assert!(cache.stats().resident_bytes <= 3 * unit);
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.evictions, 7);
         // An entry bigger than the whole budget is served un-cached.
-        cache.insert(100, entry_with(10_000));
+        assert_eq!(fill(&cache, 100, 10_000), CacheOutcome::Compiled);
         assert!(cache.stats().resident_bytes <= 3 * unit);
-        assert!(cache.lookup(100).is_none());
+        assert!(!cached(&cache, 100));
     }
 
     #[test]
     fn replacing_a_key_updates_cost_not_count() {
+        // Two workers that both miss memory and both hit the disk each
+        // admit the same key; the second admission replaces the first.
         let cache = CompileCache::new();
-        cache.insert(7, entry_with(100));
+        fill(&cache, 7, 100);
         let big = cache.stats().resident_bytes;
-        cache.insert(7, entry_with(1));
+        cache.admit(7, entry_with(1));
         let small = cache.stats().resident_bytes;
         assert_eq!(cache.stats().entries, 1);
         assert!(small < big, "replacement must release the old cost");
@@ -996,7 +915,7 @@ mod tests {
     #[test]
     fn survives_a_poisoned_lock() {
         let cache = CompileCache::new();
-        cache.insert(1, entry_with(1));
+        fill(&cache, 1, 1);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _guard = cache.entries.lock().unwrap();
             panic!("worker died while holding the cache lock");
@@ -1004,15 +923,94 @@ mod tests {
         assert!(result.is_err());
         assert!(cache.entries.is_poisoned(), "test must actually poison");
         // Every hot-path operation still works.
-        assert!(cache.lookup(1).is_some());
-        cache.insert(2, entry_with(1));
+        assert!(cached(&cache, 1));
+        fill(&cache, 2, 1);
         assert_eq!(cache.stats().entries, 2);
-        let (_, outcome) = cache
-            .get_or_compute::<()>(3, || Ok(entry_with(1)))
-            .expect("compute succeeds");
-        assert_eq!(outcome, CacheOutcome::Compiled);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(fill(&cache, 3, 1), CacheOutcome::Compiled);
+        assert_eq!(cache.stats().entries, 3);
+    }
+
+    /// The memory tier against a naive recency model: a `Vec` of
+    /// `(key, cost)` pairs, least recently used first, over seeded streams
+    /// of requests and replacing admissions under every budget shape.
+    #[test]
+    fn memory_tier_matches_a_recency_model() {
+        use crate::fault::Stream;
+
+        let unit = entry_with(1).approx_bytes();
+        // Fixed per-key sizes; the larger ones exceed some byte budgets.
+        let gates = |key: u64| [1, 2, 3, 40][key as usize % 4];
+        // Replacements, hits and oversize admissions seen across all rounds.
+        let mut seen = [0; 3];
+        for (round, (max_entries, max_bytes)) in [None, Some(1), Some(3), Some(8)]
+            .into_iter()
+            .flat_map(|e| [None, Some(2 * unit), Some(5 * unit)].map(|b| (e, b)))
+            .enumerate()
+        {
+            let cache = CompileCache::with_config(CacheConfig {
+                max_entries,
+                max_bytes,
+                ..CacheConfig::default()
+            });
+            let mut rng = Stream(0x5eed ^ round as u64);
+            let mut model: Vec<(u64, usize)> = Vec::new();
+            let mut evictions = 0;
+            for _ in 0..2000 {
+                let key = rng.next_u64() % 16;
+                let resident = model.iter().position(|&(k, _)| k == key);
+                // The cost the operation admits, if it admits anything.
+                let admitted = match resident {
+                    Some(_) if rng.next_u64().is_multiple_of(5) => {
+                        // Replace a resident key with a new size.
+                        let entry = entry_with(1 + rng.next_u64() as usize % 6);
+                        let cost = entry.approx_bytes();
+                        cache.admit(key, entry);
+                        seen[0] += 1;
+                        Some(cost)
+                    }
+                    Some(i) => {
+                        assert_eq!(fill(&cache, key, gates(key)), CacheOutcome::MemoryHit);
+                        let hit = model.remove(i);
+                        model.push(hit);
+                        seen[1] += 1;
+                        None
+                    }
+                    None => {
+                        assert_eq!(fill(&cache, key, gates(key)), CacheOutcome::Compiled);
+                        Some(entry_with(gates(key)).approx_bytes())
+                    }
+                };
+                let oversize = admitted.is_some_and(|c| max_bytes.is_some_and(|b| c > b));
+                seen[2] += usize::from(oversize);
+                if let Some(cost) = admitted.filter(|_| !oversize) {
+                    model.retain(|&(k, _)| k != key);
+                    model.push((key, cost));
+                    let bytes = |m: &[(u64, usize)]| m.iter().map(|&(_, c)| c).sum::<usize>();
+                    while max_entries.is_some_and(|m| model.len() > m)
+                        || max_bytes.is_some_and(|b| bytes(&model) > b)
+                    {
+                        model.remove(0);
+                        evictions += 1;
+                    }
+                }
+                let stats = cache.stats();
+                assert_eq!(stats.entries, model.len());
+                assert_eq!(stats.resident_bytes, model.iter().map(|&(_, c)| c).sum());
+                assert_eq!(stats.evictions, evictions);
+                let lru = relock(&cache.entries);
+                let order: Vec<u64> = lru.order.values().copied().collect();
+                let expected: Vec<u64> = model.iter().map(|&(k, _)| k).collect();
+                assert_eq!(order, expected, "recency order");
+                assert!(
+                    !(oversize && lru.slots.contains_key(&key)),
+                    "oversize entry admitted"
+                );
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every path exercised: {seen:?}"
+        );
     }
 
     #[test]
@@ -1074,7 +1072,7 @@ mod tests {
                 disk_dir: Some(dir.clone()),
                 ..CacheConfig::default()
             });
-            cache.insert(42, entry_with(1));
+            fill(&cache, 42, 1);
             assert_eq!(cache.stats().tmp_swept, 0, "clean dir has nothing to sweep");
         }
         std::fs::write(dir.join("00000000000000ff.12345.tmp"), b"partial").unwrap();
@@ -1092,9 +1090,60 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "orphans must be removed");
         // The completed entry survives the sweep and still decodes.
-        assert!(cache.lookup(42).is_some());
+        assert!(cached(&cache, 42));
         assert_eq!(cache.stats().disk_hits, 1);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The disk tier trips on exactly the threshold's consecutive error,
+    /// lets one probe through per re-probe window, and heals when that
+    /// probe succeeds.
+    #[test]
+    fn disk_tier_trips_at_the_threshold_and_heals_on_a_probe() {
+        use crate::fault::FaultPlan;
+
+        let dir = std::env::temp_dir().join(format!("ph_cache_health_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cache = CompileCache::with_config(CacheConfig {
+            disk_dir: Some(dir.clone()),
+            disk_error_threshold: 4,
+            disk_reprobe: Duration::from_secs(3600),
+            ..CacheConfig::default()
+        });
+        let fault = Fault::seeded(FaultPlan::parse("disk.read=1.0,disk.write=1.0").unwrap());
+        cache.set_fault(fault.clone());
+        let health = |cache: &CompileCache| {
+            let s = cache.stats();
+            (s.disk_errors, s.disk_disabled, s.disk_heals)
+        };
+        // A miss reads twice (the probe and the re-probe under
+        // leadership) and writes once: three errors. The next miss's
+        // first read is the fourth and trips the tier, so its re-probe
+        // and write-back are skipped.
+        fill(&cache, 1, 1);
+        assert_eq!(health(&cache), (3, false, 0));
+        fill(&cache, 2, 1);
+        assert_eq!(health(&cache), (4, true, 0));
+        // Inside the window the disk is not touched.
+        fill(&cache, 3, 1);
+        assert_eq!(health(&cache), (4, true, 0));
+        // Window over: exactly one operation probes; its failure keeps
+        // the tier disabled for another window.
+        relock(&cache.health).probe_at = Some(Instant::now());
+        fill(&cache, 4, 1);
+        assert_eq!(health(&cache), (5, true, 0));
+        // The disk recovers: the next probe (a clean miss) heals the tier
+        // and the write-back goes through.
+        fault.pause();
+        relock(&cache.health).probe_at = Some(Instant::now());
+        fill(&cache, 5, 1);
+        assert_eq!(health(&cache), (5, false, 1));
+        assert!(dir.join(format!("{:016x}.phc", 5)).exists());
+        // The heal reset the streak: one more failing miss does not trip.
+        fault.resume();
+        fill(&cache, 6, 1);
+        assert_eq!(health(&cache), (8, false, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

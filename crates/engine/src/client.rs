@@ -36,6 +36,7 @@ use std::time::Duration;
 
 use ph_telemetry::json::Json;
 
+use crate::fault::Stream;
 use crate::proto::{CompileRequest, Request};
 
 /// A minimal blocking connection speaking the wire protocol
@@ -232,7 +233,7 @@ pub struct Client {
     addr: SocketAddr,
     config: ClientConfig,
     stats: ClientStats,
-    rng: u64,
+    rng: Stream,
     budget: u32,
     prev_backoff: Duration,
 }
@@ -252,7 +253,7 @@ impl Client {
         })?;
         let budget = config.max_retries;
         let prev_backoff = config.backoff_base;
-        let rng = config.seed ^ 0x9e37_79b9_7f4a_7c15;
+        let rng = Stream(config.seed ^ 0x9e37_79b9_7f4a_7c15);
         Ok(Client {
             addr,
             config,
@@ -266,16 +267,6 @@ impl Client {
     /// What happened so far (connects, retries).
     pub fn stats(&self) -> ClientStats {
         self.stats
-    }
-
-    /// splitmix64 — the same tiny deterministic generator the fault
-    /// harness uses, so jitter is reproducible from the seed.
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 
     /// Absorbs one transport fault: spend budget, sleep with decorrelated
@@ -298,7 +289,7 @@ impl Client {
         let hi = (self.prev_backoff.as_millis() as u64)
             .saturating_mul(3)
             .max(base + 1);
-        let sleep_ms = base + self.next_u64() % (hi - base);
+        let sleep_ms = base + self.rng.next_u64() % (hi - base);
         let sleep = Duration::from_millis(sleep_ms).min(self.config.backoff_cap);
         self.prev_backoff = sleep;
         std::thread::sleep(sleep);

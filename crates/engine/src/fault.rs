@@ -142,23 +142,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// `true` when every fault rate is zero (the plan injects nothing).
-    pub fn is_noop(&self) -> bool {
-        [
-            self.disk_read_error,
-            self.disk_write_error,
-            self.disk_short_write,
-            self.disk_bit_flip,
-            self.worker_panic,
-            self.worker_delay,
-            self.conn_drop,
-            self.conn_truncate,
-            self.conn_stall,
-        ]
-        .iter()
-        .all(|&r| r == 0.0)
-    }
 }
 
 /// What to do to one disk-tier read.
@@ -231,13 +214,14 @@ pub struct FaultCounters {
     pub conn_stalls: u64,
 }
 
-/// One splitmix64 stream. Tiny, deterministic, and entirely local so the
-/// fault layer shares no RNG state with anything else in the process.
+/// One splitmix64 stream. Tiny and deterministic; each owner (a fault
+/// plan's disk, worker and connection streams, a client's backoff jitter)
+/// holds its own, so no RNG state is shared across the process.
 #[derive(Debug)]
-struct Stream(u64);
+pub(crate) struct Stream(pub(crate) u64);
 
 impl Stream {
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -515,9 +499,6 @@ mod tests {
                 conn_stall_ms: 99,
             }
         );
-        assert!(!plan.is_noop());
-        assert!(FaultPlan::parse("seed=1").unwrap().is_noop());
-        assert!(FaultPlan::parse("").unwrap().is_noop());
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub struct ServeStats {
     pub workers_replaced: u64,
 }
 
-/// One accepted compile request's answer slot: which connection to write
+/// One compile request's answer slot: which connection to write
 /// to and the exactly-once latch both the worker and the watchdog race
 /// for. Whoever swaps `answered` first writes the report; the loser's
 /// result is discarded.
@@ -154,7 +154,7 @@ struct Job {
 struct Conn {
     id: u64,
     writer: Mutex<TcpStream>,
-    /// Jobs accepted from this connection and not yet answered.
+    /// Compile requests read from this connection and not yet answered.
     pending: Mutex<u64>,
     idle: Condvar,
     /// Report lines (success, failure, or reject) written so far.
@@ -304,9 +304,15 @@ impl Inner {
                 return;
             }
         };
+        self.refuse(&job.ticket, tag, &message);
+    }
+
+    /// Answers a compile request with a service-side rejection: a bad
+    /// request, or a full or draining queue.
+    fn refuse(&self, ticket: &Ticket, kind: &str, message: &str) {
         self.engine.telemetry().mark("serve.reject", &[]);
-        let line = proto::reject_json(job.ticket.id, &job.ticket.name, tag, &message);
-        self.answer(&job.ticket, Some(&line), &self.rejected);
+        let line = proto::reject_json(ticket.id, &ticket.name, kind, message);
+        self.answer(ticket, Some(&line), &self.rejected);
     }
 
     /// Blocks for the next job; `None` once draining and empty — the
@@ -331,7 +337,7 @@ impl Inner {
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Answers one accepted job exactly once: writes the report line (if
+    /// Answers one compile request exactly once: writes the report line (if
     /// any — cancelled jobs write nothing) and releases the connection's
     /// pending slot. Returns `false` when someone else (worker vs.
     /// watchdog) answered first. The winner's outcome counter is bumped
@@ -408,29 +414,22 @@ impl Inner {
         ])
     }
 
-    /// Answers one compile request with a service-side rejection (before
-    /// it was ever accepted — parse and validation failures).
-    fn reject(&self, conn: &Conn, req: &CompileRequest, kind: &str, message: &str) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        self.engine.telemetry().mark("serve.reject", &[]);
-        conn.write_line(&proto::reject_json(
-            req.id,
-            &req.display_name(),
-            kind,
-            message,
-        ));
-        conn.count_report();
-    }
-
     /// Validates and enqueues one compile request; every exit path writes
     /// exactly one report line (now, or later from a worker).
     fn submit(&self, conn: &Arc<Conn>, req: CompileRequest) {
         self.requests.fetch_add(1, Ordering::Relaxed);
         self.engine.telemetry().mark("serve.request", &[]);
+        conn.add_pending();
+        let ticket = Arc::new(Ticket {
+            conn: Arc::clone(conn),
+            id: req.id,
+            name: req.display_name(),
+            answered: AtomicBool::new(false),
+        });
         let ir = match parse_program(&req.ir) {
             Ok(ir) => ir,
             Err(e) => {
-                self.reject(conn, &req, "bad_request", &format!("ir parse error: {e}"));
+                self.refuse(&ticket, "bad_request", &format!("ir parse error: {e}"));
                 return;
             }
         };
@@ -439,7 +438,7 @@ impl Inner {
             Some(spec) => match Target::parse_spec(spec, ir.num_qubits()) {
                 Ok(t) => Some(t),
                 Err(msg) => {
-                    self.reject(conn, &req, "bad_request", &msg);
+                    self.refuse(&ticket, "bad_request", &msg);
                     return;
                 }
             },
@@ -449,13 +448,6 @@ impl Inner {
             .map(Duration::from_millis)
             .or(self.config.default_deadline)
             .map(|d| Instant::now() + d);
-        conn.add_pending();
-        let ticket = Arc::new(Ticket {
-            conn: Arc::clone(conn),
-            id: req.id,
-            name: req.display_name(),
-            answered: AtomicBool::new(false),
-        });
         self.push(Job {
             ticket,
             scheduler: req.scheduler,

@@ -109,11 +109,6 @@ impl Tableau {
         self.n
     }
 
-    /// The number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The current (conjugated) form of row `r`.
     pub fn row(&self, r: usize) -> &PauliString {
         &self.rows[r]

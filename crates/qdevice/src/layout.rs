@@ -97,13 +97,6 @@ impl Layout {
     pub fn l2p(&self) -> &[usize] {
         &self.l2p
     }
-
-    /// The permutation `π` with `π[l] = final physical position of logical
-    /// l`, restricted to logical qubits — used by the equivalence checker to
-    /// undo routing.
-    pub fn as_permutation(&self) -> Vec<usize> {
-        self.l2p.clone()
-    }
 }
 
 impl fmt::Debug for Layout {
